@@ -24,7 +24,7 @@ from .checking import (
     parse_coloring,
     verify_graceful,
 )
-from .complete import CompleteGracefulResult, check_triangle_equivalence, check_complete_equivalence, chi_g_complete
+from .complete import CompleteGracefulResult, check_complete_equivalence, chi_g_complete
 from .graphs import (
     Graph,
     GraphFamily,
@@ -34,7 +34,6 @@ from .graphs import (
     complete_bipartite,
     cycle,
     diameter,
-    generate,
     is_connected,
     max_degree,
     parse_graph,

@@ -21,8 +21,6 @@ from typing import Iterator, Mapping, Sequence
 
 from .budget import TIME_CHECK_INTERVAL, BudgetExhausted, BudgetMeter, SolveBudget
 
-_NO_LIMIT = 1 << 62
-
 
 def is_ap3_free(elements: Sequence[int]) -> bool:
     """True iff no pair a < c in the set has its midpoint in the set.
@@ -198,11 +196,9 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     """
     full = (1 << (m + 1)) - 2  # bits 1..m
     max_first = (m + 1) // 2
-    limit = meter.node_limit()
-    node_cap = _NO_LIMIT if limit is None else limit
+    node_cap, timed = meter.limits()
     counters = [0, 0]  # nodes, bound prunes
     chosen: list[int] = []
-    timed = meter.deadline is not None
 
     def dfs(count: int, blocked: int, mirror: int, lo: int) -> bool:
         free = full & ~blocked & -(1 << lo)

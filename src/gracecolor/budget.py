@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass
 
 TIME_CHECK_INTERVAL = 4096  # nodes between wall-clock checks
+_UNCAPPED = 1 << 62  # node cap of an unlimited budget; no search gets near it
 
 
 class BudgetExhausted(Exception):
@@ -36,9 +37,10 @@ UNLIMITED = SolveBudget()
 class BudgetMeter:
     """Mutable node counter plus deadline for one logical solve.
 
-    A single meter may span several decision searches (iterative deepening
-    shares one budget); kernels call spend() with batches of locally counted
-    nodes and use node_limit()/deadline to enforce limits in their hot loops.
+    A single meter may span several searches (iterative deepening, or both
+    searches of a characterization, share one budget); kernels take their
+    limits from limits() once per run, count nodes locally in their hot loops,
+    and call spend() with the total when they return or raise.
     """
 
     __slots__ = ("budget", "nodes", "deadline")
@@ -52,11 +54,15 @@ class BudgetMeter:
             else None
         )
 
-    def node_limit(self) -> int | None:
-        """Remaining node allowance, or None when unlimited."""
-        if self.budget.max_nodes is None:
-            return None
-        return self.budget.max_nodes - self.nodes
+    def limits(self) -> tuple[int, bool]:
+        """(node cap, timed) for one kernel run.
+
+        The kernel raises BudgetExhausted once it has counted node cap nodes,
+        and calls check_time() every TIME_CHECK_INTERVAL nodes when timed.
+        """
+        max_nodes = self.budget.max_nodes
+        cap = _UNCAPPED if max_nodes is None else max_nodes - self.nodes
+        return cap, self.deadline is not None
 
     def spend(self, nodes: int) -> None:
         self.nodes += nodes

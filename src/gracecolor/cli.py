@@ -43,18 +43,21 @@ CACHE_ENV_VAR = "GRACECOLOR_CACHE"
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each subcommand takes only the flags it acts on: all take --records, the
+    # searching ones also a budget, and the ladder ones, which read and extend
+    # the L/a cache, also --cache.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
-                        metavar="N", help="search node limit (default %(default)s)")
-    common.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
-                        metavar="S", help="wall-clock limit (default %(default)s)")
-    common.add_argument("--workers", type=int, default=1, metavar="W",
-                        help="parallel root branches for graceful decisions")
-    common.add_argument("--cache", metavar="PATH",
-                        default=os.environ.get(CACHE_ENV_VAR),
-                        help=f"proven-value cache file (default ${CACHE_ENV_VAR})")
     common.add_argument("--records", action="store_true",
                         help="line-oriented machine-readable output")
+    search = argparse.ArgumentParser(add_help=False, parents=[common])
+    search.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                        metavar="N", help="search node limit (default %(default)s)")
+    search.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
+                        metavar="S", help="wall-clock limit (default %(default)s)")
+    ladder = argparse.ArgumentParser(add_help=False, parents=[search])
+    ladder.add_argument("--cache", metavar="PATH",
+                        default=os.environ.get(CACHE_ENV_VAR),
+                        help=f"proven-value cache file (default ${CACHE_ENV_VAR})")
 
     parser = argparse.ArgumentParser(prog="gracecolor", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -67,22 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="palette size l (default: largest color used)")
 
     for name in ("solve", "chromatic", "characterize"):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[search])
         p.add_argument("graph")
 
-    p = sub.add_parser("complete", parents=[common])
+    p = sub.add_parser("complete", parents=[ladder])
     p.add_argument("n", type=int)
 
     p = sub.add_parser("ap3")
     ap3_sub = p.add_subparsers(dest="ap3_command", required=True)
-    q = ap3_sub.add_parser("longest", parents=[common])
+    q = ap3_sub.add_parser("longest", parents=[ladder])
     q.add_argument("m", type=int)
-    q = ap3_sub.add_parser("minspan", parents=[common])
+    q = ap3_sub.add_parser("minspan", parents=[ladder])
     q.add_argument("k", type=int)
     q = ap3_sub.add_parser("check", parents=[common])
     q.add_argument("elements", help="comma-separated integers")
 
-    p = sub.add_parser("table", parents=[common])
+    p = sub.add_parser("table", parents=[ladder])
     p.add_argument("n_max", type=int)
 
     p = sub.add_parser("gen", parents=[common])
@@ -165,7 +168,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     if args.command == "solve":
         g = parse_graph(_read(args.graph))
-        report = solver.chi_g(g, _budget(args), args.workers)
+        report = solver.chi_g(g, _budget(args))
         return _emit_solve(report, "chi_g", args, out, err)
 
     if args.command == "chromatic":
@@ -175,7 +178,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     if args.command == "characterize":
         g = parse_graph(_read(args.graph))
-        result = solver.characterize(g, _budget(args), args.workers)
+        result = solver.characterize(g, _budget(args))
         flags = {True: "true", False: "false"}
         if args.records:
             print(f"{result.chi} {result.chi_g} "

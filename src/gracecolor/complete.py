@@ -11,7 +11,7 @@ vertices is therefore the minimal possible largest element of an n-element
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ap3 import Ap3Engine, is_ap3_free
 from .budget import BudgetExhausted, SolveBudget
@@ -51,28 +51,10 @@ def chi_g_complete(n: int, budget: SolveBudget | None = None,
     )
 
 
-def _graceful_on_complete(colors: Sequence[int]) -> bool:
-    palette = max(max(colors), 2)
-    coloring = GracefulColoring(tuple(colors), palette)
-    return verify_graceful(complete(len(colors)), coloring).valid
-
-
-def check_triangle_equivalence(colors: Iterable[int]) -> tuple[bool, bool]:
-    """(graceful on the triangle, 3-AP-free) for three positive integers.
-
-    The two components always agree when the colors are distinct; repeated
-    colors make the coloring ungraceful while the underlying set is still
-    tested for progressions.
-    """
-    values = tuple(colors)
-    if len(values) != 3:
-        raise ValueError("need exactly three colors")
-    return _graceful_on_complete(values), is_ap3_free(sorted(set(values)))
-
-
 def check_complete_equivalence(colors: Iterable[int]) -> tuple[bool, bool]:
     """(graceful on the complete graph, 3-AP-free) for a set of n >= 2 colors."""
     values = tuple(sorted(set(colors)))
     if len(values) < 2:
         raise ValueError("need at least two distinct colors")
-    return _graceful_on_complete(values), is_ap3_free(values)
+    coloring = GracefulColoring(values, max(values[-1], 2))
+    return verify_graceful(complete(len(values)), coloring).valid, is_ap3_free(values)

@@ -1,7 +1,7 @@
 """Simple undirected graphs: construction, named families, edge-list I/O.
 
 Vertices are the integers 0..n-1.  Graph values are immutable after
-construction and safe to share between concurrent searchers.
+construction and safe to share between searches.
 """
 
 from __future__ import annotations
@@ -310,7 +310,3 @@ def _arity(tag: str, params: tuple[int, ...], want: int) -> tuple[int, ...]:
         raise ValueError(f"{tag} takes {want} parameter(s), got {len(params)}")
     return params
 
-
-def generate(family: GraphFamily) -> Graph:
-    """Build the graph described by a GraphFamily value."""
-    return family.build()

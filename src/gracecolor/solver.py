@@ -12,11 +12,15 @@ color c, or |c - color(u)| collides with an incident edge color at u, or two
 colored neighbors of v would both induce the same edge color |c - color(u)|.
 The first vertex only tries colors up to ceil(k/2): reflecting every color x
 to k+1-x preserves gracefulness, so half the palette suffices there.
+
+Every search runs sequentially in the calling process.  All levels of a
+deepening run, and both searches of characterize(), draw on one BudgetMeter,
+so a node limit bounds the work actually done and a reported node count is
+that work.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 
@@ -27,8 +31,6 @@ from .graphs import Graph, diameter, is_connected, max_degree, regularity
 SOLVED = "solved"
 INFEASIBLE = "infeasible-at-k"
 EXHAUSTED = "budget-exhausted"
-
-_NO_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -81,28 +83,22 @@ def _search_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
 
 
-def _decide(g: Graph, k: int, meter: BudgetMeter,
-            root_colors: range) -> tuple[int, ...] | None:
-    """Find a graceful k-coloring with the first-ordered vertex colored from
-    root_colors, or prove none exists.  Returns per-vertex colors or None."""
+def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
+    """Find a graceful k-coloring, or prove none exists.  Returns per-vertex
+    colors or None."""
     n = g.n
     adj = g.adjacency
     order = _search_order(g)
     full = (1 << (k + 1)) - 2  # colors 1..k
-    limit = meter.node_limit()
-    node_cap = _NO_LIMIT if limit is None else limit
-    timed = meter.deadline is not None
+    node_cap, timed = meter.limits()
     counters = [0]
     colors = [0] * n
-    root_mask = 0
-    for c in root_colors:
-        root_mask |= 1 << c
+    initial = [full] * n
+    initial[order[0]] = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
 
     def dfs(i: int, domains: list[int]) -> bool:
         x = order[i]
         dom = domains[x]
-        if i == 0:
-            dom &= root_mask
         while dom:
             bit = dom & -dom
             dom ^= bit
@@ -166,85 +162,15 @@ def _decide(g: Graph, k: int, meter: BudgetMeter,
         return False
 
     try:
-        if dfs(0, [full] * n):
+        if dfs(0, initial):
             return tuple(colors)
         return None
     finally:
         meter.spend(counters[0])
 
 
-def _decide_branch(payload):
-    """Worker entry for one root-color branch of the decision search."""
-    n, edges, k, root_color, max_nodes, max_seconds = payload
-    g = Graph.from_edges(n, edges)
-    meter = BudgetMeter(SolveBudget(max_nodes, max_seconds))
-    try:
-        witness = _decide(g, k, meter, range(root_color, root_color + 1))
-    except BudgetExhausted:
-        return root_color, EXHAUSTED, None, meter.nodes
-    status = SOLVED if witness is not None else INFEASIBLE
-    return root_color, status, witness, meter.nodes
-
-
-def _decision(g: Graph, k: int, meter: BudgetMeter, workers: int) -> SolveReport:
-    start = time.perf_counter()
-    root_colors = range(1, (k + 1) // 2 + 1)
-    if workers <= 1 or len(root_colors) <= 1:
-        before = meter.nodes
-        try:
-            witness = _decide(g, k, meter, root_colors)
-        except BudgetExhausted:
-            return SolveReport(EXHAUSTED, None, None, meter.nodes - before,
-                               time.perf_counter() - start)
-        elapsed = time.perf_counter() - start
-        if witness is None:
-            return SolveReport(INFEASIBLE, None, None, meter.nodes - before, elapsed)
-        coloring = GracefulColoring(witness, k)
-        return SolveReport(SOLVED, k, coloring, meter.nodes - before, elapsed)
-
-    # Parallel mode: explore each root color in its own process, each with the
-    # currently remaining budget.  Branch outcomes are combined in ascending
-    # root-color order, which mirrors the sequential search exactly: the
-    # status, value, and witness are independent of scheduling.
-    remaining_nodes = meter.node_limit()
-    remaining_seconds = None
-    if meter.deadline is not None:
-        remaining_seconds = max(meter.deadline - time.monotonic(), 0.001)
-    payloads = [(g.n, g.edges, k, c, remaining_nodes, remaining_seconds)
-                for c in root_colors]
-    outcomes = {}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_decide_branch, p): p[3] for p in payloads}
-        cancel_above: int | None = None
-        for future in concurrent.futures.as_completed(futures):
-            if future.cancelled():
-                continue
-            root, status, witness, nodes = future.result()
-            outcomes[root] = (status, witness, nodes)
-            if status == SOLVED and (cancel_above is None or root < cancel_above):
-                cancel_above = root
-                for other, oroot in futures.items():
-                    if oroot > root:
-                        other.cancel()
-    elapsed = time.perf_counter() - start
-    total = 0
-    for c in root_colors:
-        if c not in outcomes:  # cancelled before starting: a lower root solved
-            continue
-        status, witness, nodes = outcomes[c]
-        total += nodes
-        if status == EXHAUSTED:
-            meter.spend(total)
-            return SolveReport(EXHAUSTED, None, None, total, elapsed)
-        if status == SOLVED:
-            meter.spend(total)
-            return SolveReport(SOLVED, k, GracefulColoring(witness, k), total, elapsed)
-    meter.spend(total)
-    return SolveReport(INFEASIBLE, None, None, total, elapsed)
-
-
-def solve_graceful_decision(g: Graph, k: int, budget: SolveBudget | None = None,
-                            workers: int = 1) -> SolveReport:
+def solve_graceful_decision(g: Graph, k: int,
+                            budget: SolveBudget | None = None) -> SolveReport:
     """Decide whether g admits a graceful k-coloring.
 
     Returns a solved report with a witness, an infeasible report when the
@@ -253,29 +179,40 @@ def solve_graceful_decision(g: Graph, k: int, budget: SolveBudget | None = None,
     if k < 2:
         raise ValueError(f"palette size must be >= 2, got {k}")
     _require_connected(g)
-    return _decision(g, k, BudgetMeter(budget), workers)
-
-
-def chi_g(g: Graph, budget: SolveBudget | None = None, workers: int = 1) -> SolveReport:
-    """Exact graceful chromatic number by iterative deepening on k.
-
-    The budget spans the whole deepening run.  A budget-exhausted decision at
-    any level makes the whole computation budget-exhausted; no unproven
-    minimum is ever reported.
-    """
-    _require_connected(g)
     meter = BudgetMeter(budget)
     start = time.perf_counter()
+    try:
+        witness = _decide(g, k, meter)
+    except BudgetExhausted:
+        return SolveReport(EXHAUSTED, None, None, meter.nodes, time.perf_counter() - start)
+    if witness is None:
+        return SolveReport(INFEASIBLE, None, None, meter.nodes, time.perf_counter() - start)
+    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes,
+                       time.perf_counter() - start)
+
+
+def chi_g(g: Graph, budget: SolveBudget | None = None,
+          meter: BudgetMeter | None = None) -> SolveReport:
+    """Exact graceful chromatic number by iterative deepening on k.
+
+    The budget spans the whole deepening run; a given meter (which overrides
+    budget) may be shared with other searches, and the report counts only
+    the nodes of this run.  Running out of budget at any level makes the
+    whole computation budget-exhausted; no unproven minimum is ever reported.
+    """
+    _require_connected(g)
+    meter = meter or BudgetMeter(budget)
+    before = meter.nodes
+    start = time.perf_counter()
     k = max(2, graceful_lower_bound(g))
-    while True:
-        report = _decision(g, k, meter, workers)
-        if report.status == SOLVED:
-            return SolveReport(SOLVED, k, report.witness, meter.nodes,
-                               time.perf_counter() - start)
-        if report.status == EXHAUSTED:
-            return SolveReport(EXHAUSTED, None, None, meter.nodes,
-                               time.perf_counter() - start)
-        k += 1
+    try:
+        while (witness := _decide(g, k, meter)) is None:
+            k += 1
+    except BudgetExhausted:
+        return SolveReport(EXHAUSTED, None, None, meter.nodes - before,
+                           time.perf_counter() - start)
+    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes - before,
+                       time.perf_counter() - start)
 
 
 # -- plain chromatic number ---------------------------------------------------
@@ -307,9 +244,7 @@ def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     n = g.n
     adj = g.adjacency
     order = _search_order(g)
-    limit = meter.node_limit()
-    node_cap = _NO_LIMIT if limit is None else limit
-    timed = meter.deadline is not None
+    node_cap, timed = meter.limits()
     counters = [0]
     colors = [0] * n
 
@@ -340,11 +275,14 @@ def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
         meter.spend(counters[0])
 
 
-def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
+def chromatic_number(g: Graph, budget: SolveBudget | None = None,
+                     meter: BudgetMeter | None = None) -> SolveReport:
     """Exact chromatic number: greedy clique lower bound, greedy coloring
-    upper bound, backtracking decisions in between."""
+    upper bound, backtracking decisions in between.  budget and meter work
+    as in chi_g."""
     _require_connected(g)
-    meter = BudgetMeter(budget)
+    meter = meter or BudgetMeter(budget)
+    before = meter.nodes
     start = time.perf_counter()
     lower = len(_greedy_clique(g))
     greedy = _greedy_coloring(g)
@@ -354,26 +292,27 @@ def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> SolveReport
         try:
             found = _chi_decide(g, k, meter)
         except BudgetExhausted:
-            return SolveReport(EXHAUSTED, None, None, meter.nodes,
+            return SolveReport(EXHAUSTED, None, None, meter.nodes - before,
                                time.perf_counter() - start)
         if found is not None:
             value, witness = k, found
             break
-    return SolveReport(SOLVED, value, witness, meter.nodes,
+    return SolveReport(SOLVED, value, witness, meter.nodes - before,
                        time.perf_counter() - start)
 
 
-def characterize(g: Graph, budget: SolveBudget | None = None,
-                 workers: int = 1) -> Characterization:
+def characterize(g: Graph, budget: SolveBudget | None = None) -> Characterization:
     """Both chromatic numbers plus the two characterization predicates.
 
-    Raises BudgetExhausted when either exact computation runs out of budget.
+    The two searches share the budget.  Raises BudgetExhausted when it runs
+    out before both are exact.
     """
     _require_connected(g)
-    chi_report = chromatic_number(g, budget)
+    meter = BudgetMeter(budget)
+    chi_report = chromatic_number(g, meter=meter)
     if chi_report.status != SOLVED:
         raise BudgetExhausted("chromatic number computation ran out of budget")
-    graceful_report = chi_g(g, budget, workers)
+    graceful_report = chi_g(g, meter=meter)
     if graceful_report.status != SOLVED:
         raise BudgetExhausted("graceful chromatic number computation ran out of budget")
     return Characterization(

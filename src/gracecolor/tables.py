@@ -27,9 +27,6 @@ from typing import Iterable
 from .ap3 import Ap3Engine, is_ap3_free
 from .budget import BudgetMeter, SolveBudget
 
-SOURCE_PUBLISHED = "published"
-SOURCE_COMPUTED = "computed"
-
 KIND_LONGEST = "L"
 KIND_SPAN = "A"
 
@@ -108,7 +105,6 @@ class KnownValue:
     index: int
     value: int
     witness: tuple[int, ...]
-    source: str = SOURCE_COMPUTED
 
 
 def _validate(entry: KnownValue) -> None:

@@ -7,7 +7,7 @@ import pytest
 from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import BudgetExhausted, SolveBudget
 from gracecolor.checking import verify_graceful
-from gracecolor.complete import check_triangle_equivalence, check_complete_equivalence, chi_g_complete
+from gracecolor.complete import check_complete_equivalence, chi_g_complete
 from gracecolor.graphs import complete
 from gracecolor.solver import chi_g
 
@@ -54,20 +54,9 @@ def test_chi_g_complete_validates_and_budgets():
 
 
 def test_triangle_equivalence_examples():
-    assert check_triangle_equivalence((1, 2, 4)) == (True, True)
-    assert check_triangle_equivalence((2, 4, 6)) == (False, False)
-    assert check_triangle_equivalence((1, 3, 4)) == (True, True)
-
-
-def test_triangle_equivalence_non_distinct_colors():
-    graceful, ap3 = check_triangle_equivalence((1, 1, 4))
-    assert graceful is False
-    assert ap3 is True  # the underlying set {1, 4} has no progression
-
-
-def test_triangle_equivalence_argument_count():
-    with pytest.raises(ValueError):
-        check_triangle_equivalence((1, 2))
+    assert check_complete_equivalence((1, 2, 4)) == (True, True)
+    assert check_complete_equivalence((2, 4, 6)) == (False, False)
+    assert check_complete_equivalence((1, 3, 4)) == (True, True)
 
 
 def test_complete_equivalence_examples():
@@ -89,5 +78,5 @@ def test_triangle_equivalence_exhaustive_small_triples():
     import itertools
 
     for triple in itertools.combinations(range(1, 13), 3):
-        graceful, ap3 = check_triangle_equivalence(triple)
+        graceful, ap3 = check_complete_equivalence(triple)
         assert graceful == ap3, triple

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gracecolor.budget import BudgetExhausted, SolveBudget
+from gracecolor.ap3 import Ap3Engine
+from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
 from gracecolor.checking import verify_graceful
 from gracecolor.graphs import Graph, complete, complete_bipartite, cycle, path, star, wheel
 from gracecolor.solver import (
@@ -131,51 +132,44 @@ def test_witness_is_deterministic():
     assert first == second
 
 
-def test_budget_exhaustion_decision():
-    report = solve_graceful_decision(complete(5), 9, SolveBudget(max_nodes=3))
-    assert report.status == EXHAUSTED
-    assert report.value is None
+def test_budget_exhaustion_decision(monkeypatch):
+    """Every search that runs out of budget stops within it: the nodes spent on
+    all meters of the call, and the nodes it reports, are at most max_nodes."""
+    spent = []
+    spend = BudgetMeter.spend
+
+    def counting_spend(meter, nodes):
+        spent.append(nodes)
+        spend(meter, nodes)
+
+    monkeypatch.setattr(BudgetMeter, "spend", counting_spend)
+    budget = SolveBudget(max_nodes=8)
+    searches = (
+        lambda: solve_graceful_decision(complete(5), 8, budget),
+        lambda: chi_g(complete(6), budget),
+        lambda: chromatic_number(wheel(10), budget),  # needs 9 nodes
+        lambda: characterize(wheel(8), budget),  # 7 nodes for chi, 8 for chi_g
+        lambda: Ap3Engine().longest(40, budget),
+    )
+    for search in searches:
+        spent.clear()
+        try:
+            report = search()
+        except BudgetExhausted:
+            pass
+        else:
+            if hasattr(report, "proven"):  # Ap3Result
+                assert not report.proven and report.stats.nodes <= 8
+            else:
+                assert report.status == EXHAUSTED
+                assert report.value is None and report.nodes <= 8
+        assert sum(spent) <= 8
 
 
 def test_budget_exhaustion_chi_g_reports_no_value():
     report = chi_g(complete(6), SolveBudget(max_nodes=10))
     assert report.status == EXHAUSTED
     assert report.value is None and report.witness is None
-
-
-def test_parallel_decision_matches_sequential():
-    for g, k in ((complete(4), 5), (cycle(5), 4), (path(6), 4)):
-        seq = solve_graceful_decision(g, k, workers=1)
-        par = solve_graceful_decision(g, k, workers=2)
-        assert (seq.status, seq.value, seq.witness) == (par.status, par.value, par.witness)
-        assert seq.nodes == par.nodes
-
-
-def test_parallel_chi_g_matches_sequential():
-    g = wheel(6)
-    seq = chi_g(g, workers=1)
-    par = chi_g(g, workers=2)
-    assert (seq.status, seq.value, seq.witness) == (par.status, par.value, par.witness)
-
-
-def test_parallel_budget_exhaustion_is_deterministic():
-    budget = SolveBudget(max_nodes=50)  # refuting k=10 on K_6 needs far more
-    first = solve_graceful_decision(complete(6), 10, budget, workers=2)
-    second = solve_graceful_decision(complete(6), 10, budget, workers=2)
-    assert first.status == EXHAUSTED
-    assert (first.status, first.value, first.nodes) == \
-           (second.status, second.value, second.nodes)
-
-
-def test_parallel_with_more_branches_than_workers():
-    # an early solved branch cancels queued higher-color branches
-    g = wheel(8)
-    seq = solve_graceful_decision(g, 8, workers=1)
-    par = solve_graceful_decision(g, 8, workers=2)
-    assert (seq.status, seq.value, seq.witness) == (par.status, par.value, par.witness)
-    seq_k8 = chi_g(complete(8), workers=1)
-    par_k8 = chi_g(complete(8), workers=2)
-    assert (seq_k8.value, seq_k8.witness) == (par_k8.value, par_k8.witness)
 
 
 def test_chromatic_examples():
@@ -225,6 +219,9 @@ def test_characterize_examples():
 def test_characterize_budget_exhaustion_raises():
     with pytest.raises(BudgetExhausted):
         characterize(complete(6), SolveBudget(max_nodes=5))
+    # chi alone takes 7 nodes and chi_g alone 8: together they exceed the budget
+    with pytest.raises(BudgetExhausted):
+        characterize(wheel(8), SolveBudget(max_nodes=8))
 
 
 def test_single_vertex_graph():
