@@ -178,31 +178,51 @@ class Ap3Engine:
 
 def _find_of_size(m: int, target: int, lengths: Sequence[int],
                   meter: BudgetMeter, stats: SearchStats) -> tuple[int, ...] | None:
-    """Find a 3-AP-free subset of [1..m] with exactly `target` elements, or
-    prove that none exists.
+    """Find the lexicographically first 3-AP-free subset of [1..m] with
+    exactly `target` = L(m-1) + 1 elements, or prove that none exists.
 
-    Depth-first over candidate values in increasing order.  State per branch:
-    a bitmask of blocked values (after choosing a then b > a, the value 2b-a
-    would complete a progression and is blocked) and a mirrored copy of the
-    chosen set, so the blocks added by candidate v are one shift of the
-    mirror.  A branch is abandoned when the chosen count plus the smaller of
-    the remaining window's L value and its unblocked candidate count cannot
-    reach the target; both bounds shrink as v grows, so the whole candidate
-    loop ends there.  The first element is restricted to the lower half of
-    [1..m]: the reflection x -> m+1-x maps witnesses to witnesses, so some
-    witness survives the restriction whenever one exists.
+    Endpoints.  Every such set S contains both 1 and m: without 1 it lies in
+    [2..m], without m in [1..m-1], and either window is a translate of
+    [1..m-1], which holds at most L(m-1) < target progression-free elements.
+    So the search starts from {1} with m reserved and runs only over the
+    interior [2..m-1].  A progression through m is (a, (a+m)/2, m), so each
+    chosen a, 1 included, blocks its midpoint with m; a progression through 1
+    ends in 2b-1 and is blocked like any other forward completion.
 
-    Requires lengths[t] = L(t) for all t < m.
+    Reflection.  x -> m+1-x maps such sets onto such sets.  If the largest
+    interior element of S exceeds m+1-s2, where s2 is the second element,
+    then the reflection of S has a smaller second element, so S is not the
+    lexicographically first witness.  Hence the search may keep every later
+    interior element <= m+1-s2 without losing that witness, and refutes a
+    level exactly when the unrestricted search would.
+
+    Depth-first over interior candidates in increasing order.  State per
+    branch: a bitmask of the candidates still open (above the last choice,
+    within the cap, and completing no progression: after choosing a then
+    b > a, the value 2b-a is dropped) and a mirrored copy of the chosen set,
+    so the values dropped by candidate v are one shift of the mirror.  With `need` interior elements still to place after candidate v,
+    the branch is abandoned unless need + 2 <= L(m-v+1) (v, they and m lie
+    in [v..m]), need + 1 <= L(m+2-s2-v) (v and they lie in [v..m+1-s2]) and
+    need <= the unblocked candidates left; all three shrink as v grows, so
+    the whole candidate loop ends at the first failure.
+
+    Requires lengths[t] = L(t) for all t < m.  Counts one node per candidate
+    tried, and one for a level with target <= 2, whose answer is {1, m}.
     """
-    full = (1 << (m + 1)) - 2  # bits 1..m
-    max_first = (m + 1) // 2
     node_cap, timed = meter.limits()
-    counters = [0, 0]  # nodes, bound prunes
-    chosen: list[int] = []
+    if target <= 2:
+        if node_cap < 1:
+            raise BudgetExhausted("node limit reached")
+        meter.spend(1)
+        stats.nodes += 1
+        return (1,) if m == 1 else (1, m)
 
-    def dfs(count: int, blocked: int, mirror: int, lo: int) -> bool:
-        free = full & ~blocked & -(1 << lo)
-        need = target - count - 1
+    counters = [0, 0]  # nodes, bound prunes
+    chosen = [1]
+
+    def extend(need: int, mirror: int, free: int, cap: int) -> bool:
+        # Choose the next interior element from `free`; every element placed
+        # from here on is <= cap, the reflection bound m+1-s2.
         while free:
             bit = free & -free
             free ^= bit
@@ -212,9 +232,8 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
             if timed and counters[0] % TIME_CHECK_INTERVAL == 0:
                 meter.check_time()
             v = bit.bit_length() - 1
-            if count == 0 and v > max_first:
-                return False  # mirrored first elements: already covered
-            if need > lengths[m - v] or need > free.bit_count():
+            if (need + 1 >= lengths[m - v + 1] or need >= lengths[cap - v + 1]
+                    or need > free.bit_count()):
                 counters[1] += 1
                 return False
             chosen.append(v)
@@ -222,14 +241,42 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
                 return True
             shift = 2 * v - m
             blocks = mirror << shift if shift >= 0 else mirror >> -shift
-            if dfs(count + 1, blocked | (blocks & full), mirror | (1 << (m - v)), v + 1):
+            if (v + m) & 1 == 0:
+                blocks |= 1 << ((v + m) >> 1)
+            if extend(need - 1, mirror | (1 << (m - v)), free & ~blocks, cap):
                 return True
             chosen.pop()
         return False
 
+    # The second element s2 fixes the reflection cap m+1-s2 of its branch.
+    need = target - 3  # interior elements still to place after s2
+    free = (1 << m) - 4  # interior bits 2..m-1
+    if m & 1:
+        free &= ~(1 << ((1 + m) >> 1))
     try:
-        if dfs(0, 0, 0, 1):
-            return tuple(chosen)
+        while free:
+            bit = free & -free
+            free ^= bit
+            if counters[0] >= node_cap:
+                raise BudgetExhausted("node limit reached")
+            counters[0] += 1
+            if timed and counters[0] % TIME_CHECK_INTERVAL == 0:
+                meter.check_time()
+            s2 = bit.bit_length() - 1
+            cap = m + 1 - s2
+            if s2 > cap or need + 1 >= lengths[m - s2 + 1] or need >= lengths[cap - s2 + 1]:
+                counters[1] += 1
+                return None
+            chosen.append(s2)
+            if need == 0:
+                return (*chosen, m)
+            blocks = 1 << (2 * s2 - 1)  # completes 1, s2, 2*s2-1
+            if (s2 + m) & 1 == 0:
+                blocks |= 1 << ((s2 + m) >> 1)
+            if extend(need - 1, (1 << (m - 1)) | (1 << (m - s2)),
+                      free & ~blocks & ((1 << (cap + 1)) - 1), cap):
+                return (*chosen, m)
+            chosen.pop()
         return None
     finally:
         meter.spend(counters[0])

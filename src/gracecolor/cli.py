@@ -13,7 +13,7 @@ Subcommands:
   gen <family> <params...>    emit a named graph as an edge-list document
 
 Exit codes: 0 success/valid; 1 invalid coloring, failed check, or reference
-mismatch; 2 usage error; 3 budget exhausted; 4 I/O or parse error.
+mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error.
 Results go to stdout, diagnostics to stderr.  Identical invocations with the
 same cache state produce byte-identical output (timings are never printed).
 """

@@ -263,6 +263,27 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _caterpillar(*params: int) -> Graph:
+    if len(params) < 1:
+        raise ValueError("caterpillar needs a spine length")
+    return caterpillar(params[0], list(params[1:]))
+
+
+# tag -> (builder, parameter count); None means the builder checks its own.
+_FAMILIES = {
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "wheel": (wheel, 1),
+    "star": (star, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "caterpillar": (_caterpillar, None),
+    "random_tree": (random_tree, 2),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
 @dataclass(frozen=True)
 class GraphFamily:
     """A named family instance: tag plus integer parameters.
@@ -278,35 +299,9 @@ class GraphFamily:
     params: tuple[int, ...]
 
     def build(self) -> Graph:
-        tag, p = self.tag, self.params
-        if tag == "path":
-            return path(*_arity(tag, p, 1))
-        if tag == "cycle":
-            return cycle(*_arity(tag, p, 1))
-        if tag == "complete":
-            return complete(*_arity(tag, p, 1))
-        if tag == "wheel":
-            return wheel(*_arity(tag, p, 1))
-        if tag == "star":
-            return star(*_arity(tag, p, 1))
-        if tag == "complete_bipartite":
-            return complete_bipartite(*_arity(tag, p, 2))
-        if tag == "caterpillar":
-            if len(p) < 1:
-                raise ValueError("caterpillar needs a spine length")
-            spine = p[0]
-            return caterpillar(spine, list(p[1:]))
-        if tag == "random_tree":
-            return random_tree(*_arity(tag, p, 2))
-        raise ValueError(f"unknown family tag {tag!r}")
-
-
-FAMILY_TAGS = ("path", "cycle", "complete", "wheel", "star",
-               "complete_bipartite", "caterpillar", "random_tree")
-
-
-def _arity(tag: str, params: tuple[int, ...], want: int) -> tuple[int, ...]:
-    if len(params) != want:
-        raise ValueError(f"{tag} takes {want} parameter(s), got {len(params)}")
-    return params
-
+        if self.tag not in _FAMILIES:
+            raise ValueError(f"unknown family tag {self.tag!r}")
+        builder, arity = _FAMILIES[self.tag]
+        if arity is not None and len(self.params) != arity:
+            raise ValueError(f"{self.tag} takes {arity} parameter(s), got {len(self.params)}")
+        return builder(*self.params)

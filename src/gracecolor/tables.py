@@ -83,6 +83,16 @@ CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
 LONGEST_REFERENCE: dict[int, int] = {122: 32}
 
 
+# What the reference table fixes: a(n) for n = 1..32, and L(m) = #{n : a(n) <= m}
+# = max{n : a(n) <= m} for m = 0..122 (a is strictly increasing and a(32) =
+# 122, so a(33) > 122).  Cache records must agree with both.
+_FIXED_SPANS: dict[int, int] = {
+    1: 1, **{n: value for n, (value, _) in CHI_G_COMPLETE_REFERENCE.items()}}
+_FIXED_LENGTHS: tuple[int, ...] = tuple(
+    sum(1 for span in _FIXED_SPANS.values() if span <= m)
+    for m in range(max(_FIXED_SPANS.values()) + 1))
+
+
 def known_chi_g_complete(n: int) -> int | None:
     """Embedded reference value for the complete graph on n vertices, if any."""
     entry = CHI_G_COMPLETE_REFERENCE.get(n)
@@ -124,11 +134,16 @@ def _validate(entry: KnownValue) -> None:
             raise ValueError(f"witness size {len(w)} != value {entry.value}")
         if w[0] < 1 or w[-1] > entry.index:
             raise ValueError(f"witness not within [1..{entry.index}]")
+        known = _FIXED_LENGTHS[entry.index] if entry.index < len(_FIXED_LENGTHS) else None
     else:
         if len(w) != entry.index:
             raise ValueError(f"witness size {len(w)} != index {entry.index}")
         if w[0] != 1 or w[-1] != entry.value:
             raise ValueError(f"witness must span [1..{entry.value}] exactly")
+        known = _FIXED_SPANS.get(entry.index)
+    if known is not None and entry.value != known:
+        raise ValueError(f"{entry.kind} {entry.index} {entry.value} contradicts the "
+                         f"reference table, which gives {known}")
 
 
 class ValueCache:
@@ -161,13 +176,19 @@ class ValueCache:
     # -- engine integration ---------------------------------------------------
 
     def seed_engine(self, engine: Ap3Engine) -> int:
-        """Feed contiguous proven L levels into an engine; returns levels applied."""
+        """Feed contiguous proven L levels into an engine; returns levels applied.
+
+        An inconsistent level, such as a step other than 0 or 1, raises
+        CacheFormatError."""
         levels = {
             entry.index: (entry.value, entry.witness)
             for entry in self._entries.values()
             if entry.kind == KIND_LONGEST
         }
-        return engine.seed(levels)
+        try:
+            return engine.seed(levels)
+        except ValueError as exc:
+            raise CacheFormatError(f"inconsistent L records: {exc}") from None
 
     def absorb_engine(self, engine: Ap3Engine) -> None:
         """Record every proven level of an engine, plus the span record for

@@ -56,13 +56,19 @@ def test_longest_small_derived_values():
 def test_longest_matches_enumeration_oracle_up_to_20():
     engine = Ap3Engine()
     for m in range(1, 21):
-        want, _ = longest_by_enumeration(m)
+        want, first = longest_by_enumeration(m)
         got = engine.longest(m)
         assert got.value == want, f"L({m})"
         assert got.proven
         assert len(got.witness) == want
         assert is_ap3_free(got.witness)
         assert got.witness[-1] <= m and got.witness[0] >= 1
+        if m == 1 or want > engine.length(m - 1):
+            # a new level's witness is the lexicographically first maximum
+            # set, and it spans [1..m]; a level with L(m) = L(m-1) keeps the
+            # previous level's witness, which the oracle does not predict
+            assert got.witness == first, f"L({m})"
+            assert got.witness[0] == 1 and got.witness[-1] == m
 
 
 def test_longest_monotone_with_unit_steps():

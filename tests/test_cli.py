@@ -6,6 +6,7 @@ import pytest
 
 from gracecolor.cli import run
 from gracecolor.graphs import parse_graph, serialize_graph, wheel
+from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
 
 
 def invoke(*argv):
@@ -227,6 +228,34 @@ def test_corrupt_cache_is_io_error(tmp_path):
     code, _, err = invoke("complete", "4", "--cache", str(cache))
     assert code == 4
     assert "line 1" in err
+
+
+def test_cache_contradicting_reference_is_io_error(tmp_path):
+    # L(5) is 4, but the records step by one and carry valid witnesses.
+    cache = tmp_path / "cache.txt"
+    cache.write_text("L 1 1 1\nL 2 2 1,2\nL 3 2 1,2\nL 4 3 1,2,4\nL 5 3 1,2,4\n")
+    for argv in (("ap3", "longest", "5"), ("ap3", "longest", "6"), ("ap3", "minspan", "4")):
+        code, out, err = invoke(*argv, "--cache", str(cache))
+        assert (code, out) == (4, "")
+        assert "line 5" in err and "reference" in err
+
+
+def test_cache_inconsistent_beyond_reference_is_io_error(tmp_path):
+    # L(1..122) from the reference witnesses (L(m) = max{n : a(n) <= m}), then
+    # an L(123) record below L(122): each record is valid on its own.
+    witnesses = {1: (1,)}
+    witnesses.update((n, w) for n, (_, w) in CHI_G_COMPLETE_REFERENCE.items())
+    lines, size = [], 0
+    for m in range(1, 123):
+        while size + 1 in witnesses and witnesses[size + 1][-1] <= m:
+            size += 1
+        lines.append(f"L {m} {size} {','.join(map(str, witnesses[size]))}\n")
+    lines.append(f"L 123 31 {','.join(map(str, witnesses[31]))}\n")
+    cache = tmp_path / "cache.txt"
+    cache.write_text("".join(lines))
+    code, out, err = invoke("ap3", "longest", "5", "--cache", str(cache))
+    assert (code, out) == (4, "")
+    assert "L(123)" in err
 
 
 def test_verify_malformed_coloring_is_parse_error(tmp_path, p3_file):

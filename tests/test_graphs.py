@@ -132,6 +132,22 @@ def test_family_parameter_validation():
         GraphFamily("moebius", (4,)).build()
 
 
+def test_family_build_error_messages():
+    cases = [
+        (("cycle", (4, 4)), "cycle takes 1 parameter(s), got 2"),
+        (("path", ()), "path takes 1 parameter(s), got 0"),
+        (("complete_bipartite", (3,)), "complete_bipartite takes 2 parameter(s), got 1"),
+        (("random_tree", (9, 3, 1)), "random_tree takes 2 parameter(s), got 3"),
+        (("caterpillar", ()), "caterpillar needs a spine length"),
+        (("caterpillar", (2, 1)), "need one leg count per spine vertex, got 1 for spine 2"),
+        (("moebius", (4,)), "unknown family tag 'moebius'"),
+    ]
+    for (tag, params), message in cases:
+        with pytest.raises(ValueError) as info:
+            GraphFamily(tag, params).build()
+        assert str(info.value) == message
+
+
 def test_family_dispatch_matches_functions():
     assert GraphFamily("wheel", (7,)).build() == wheel(7)
     assert GraphFamily("caterpillar", (3, 2, 0, 1)).build() == caterpillar(3, [2, 0, 1])

@@ -64,6 +64,28 @@ def test_cache_validates_entries():
         cache.put(KnownValue("X", 4, 3, (1, 2, 4)))
 
 
+def test_cache_rejects_values_contradicting_the_reference():
+    cache = ValueCache()
+    with pytest.raises(ValueError, match="reference"):
+        cache.put(KnownValue(KIND_LONGEST, 5, 3, (1, 2, 4)))  # L(5) = 4
+    with pytest.raises(ValueError, match="reference"):
+        cache.put(KnownValue(KIND_LONGEST, 122, 31, CHI_G_COMPLETE_REFERENCE[31][1]))
+    with pytest.raises(ValueError, match="reference"):
+        cache.put(KnownValue(KIND_SPAN, 5, 10, (1, 2, 4, 8, 10)))  # a(5) = 9
+    cache.put(KnownValue(KIND_LONGEST, 1, 1, (1,)))
+    cache.put(KnownValue(KIND_SPAN, 1, 1, (1,)))
+    # beyond the table nothing is known, so only the witness is checked
+    cache.put(KnownValue(KIND_LONGEST, 123, 32, CHI_G_COMPLETE_REFERENCE[32][1]))
+    assert len(cache) == 3
+
+
+def test_load_names_the_line_contradicting_the_reference(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("A 4 5 1,2,4,5\n# note\nA 5 10 1,2,4,8,10\n")
+    with pytest.raises(CacheFormatError, match="line 3"):
+        load_cache(str(path))
+
+
 def test_load_empty_file(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("")
