@@ -5,15 +5,7 @@ numbers by exact search, and compute them for complete graphs through the
 equivalence with minimal-span 3-AP-free integer sets.
 """
 
-from .ap3 import (
-    Ap3Engine,
-    Ap3Result,
-    SearchStats,
-    enumerate_witnesses,
-    is_ap3_free,
-    longest_ap3_free,
-    min_span_ap3_free,
-)
+from .ap3 import Ap3Engine, Ap3Result, SearchStats, is_ap3_free
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 from .checking import (
     ColoringFormatError,

@@ -14,10 +14,9 @@ and every proven L value sharpens the pruning bound for later levels.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .budget import TIME_CHECK_INTERVAL, BudgetExhausted, BudgetMeter, SolveBudget
 
@@ -44,7 +43,6 @@ def is_ap3_free(elements: Sequence[int]) -> bool:
 class SearchStats:
     nodes: int = 0
     prunes_by_bound: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -87,11 +85,6 @@ class Ap3Engine:
             return self._lengths[m]
         return None
 
-    def witness(self, m: int) -> tuple[int, ...] | None:
-        if 0 <= m <= self.frontier:
-            return self._witnesses[m]
-        return None
-
     def proven_levels(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """Yield (m, L(m), witness) for every proven level, m ascending."""
         for m in range(1, len(self._lengths)):
@@ -128,16 +121,7 @@ class Ap3Engine:
         """L(m) with an attaining witness; exact unless the budget runs out."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        meter = meter or BudgetMeter(budget)
-        stats = SearchStats()
-        start = time.perf_counter()
-        proven = True
-        try:
-            while self.frontier < m:
-                self._advance(meter, stats)
-        except BudgetExhausted:
-            proven = False
-        stats.elapsed = time.perf_counter() - start
+        stats, proven = self._climb(lambda: self.frontier < m, budget, meter)
         level = min(m, self.frontier)
         return Ap3Result(self._lengths[level], self._witnesses[level], stats, proven)
 
@@ -146,34 +130,31 @@ class Ap3Engine:
         """Least m with L(m) >= k, plus a k-element witness spanning exactly [1..m]."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        meter = meter or BudgetMeter(budget)
-        stats = SearchStats()
-        start = time.perf_counter()
-        proven = True
-        try:
-            while self._lengths[-1] < k:
-                self._advance(meter, stats)
-        except BudgetExhausted:
-            proven = False
-        stats.elapsed = time.perf_counter() - start
+        stats, proven = self._climb(lambda: self._lengths[-1] < k, budget, meter)
         if not proven:
             return Ap3Result(self.frontier, (), stats, False)
         m = bisect_left(self._lengths, k)
         return Ap3Result(m, self._witnesses[m], stats, True)
 
-    # -- ladder internals ----------------------------------------------------
-
-    def _advance(self, meter: BudgetMeter, stats: SearchStats) -> None:
-        """Prove the next level: L(m) = L(m-1) + 1 if attainable, else L(m-1)."""
-        m = len(self._lengths)
-        target = self._lengths[m - 1] + 1
-        found = _find_of_size(m, target, self._lengths, meter, stats)
-        if found is not None:
-            self._lengths.append(target)
-            self._witnesses.append(found)
-        else:
-            self._lengths.append(self._lengths[m - 1])
-            self._witnesses.append(self._witnesses[m - 1])
+    def _climb(self, unfinished: Callable[[], bool], budget: SolveBudget | None,
+               meter: BudgetMeter | None) -> tuple[SearchStats, bool]:
+        """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
+        attainable, else L(m-1).  Returns the stats and whether the climb
+        finished before the budget ran out."""
+        meter = meter or BudgetMeter(budget)
+        stats = SearchStats()
+        try:
+            while unfinished():
+                m = len(self._lengths)
+                target = self._lengths[m - 1] + 1
+                found = _find_of_size(m, target, self._lengths, meter, stats)
+                if found is None:
+                    target, found = target - 1, self._witnesses[m - 1]
+                self._lengths.append(target)
+                self._witnesses.append(found)
+        except BudgetExhausted:
+            return stats, False
+        return stats, True
 
 
 def _find_of_size(m: int, target: int, lengths: Sequence[int],
@@ -200,9 +181,11 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     branch: a bitmask of the candidates still open (above the last choice,
     within the cap, and completing no progression: after choosing a then
     b > a, the value 2b-a is dropped) and a mirrored copy of the chosen set,
-    so the values dropped by candidate v are one shift of the mirror.  With `need` interior elements still to place after candidate v,
-    the branch is abandoned unless need + 2 <= L(m-v+1) (v, they and m lie
-    in [v..m]), need + 1 <= L(m+2-s2-v) (v and they lie in [v..m+1-s2]) and
+    so the values dropped by candidate v are one shift of the mirror.
+
+    With `need` interior elements still to place after candidate v, the
+    branch is abandoned unless need + 2 <= L(m-v+1) (v, they and m lie in
+    [v..m]), need + 1 <= L(m+2-s2-v) (v and they lie in [v..m+1-s2]) and
     need <= the unblocked candidates left; all three shrink as v grows, so
     the whole candidate loop ends at the first failure.
 
@@ -282,55 +265,3 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
         meter.spend(counters[0])
         stats.nodes += counters[0]
         stats.prunes_by_bound += counters[1]
-
-
-# -- module-level conveniences (fresh engine per call) ------------------------
-
-
-def longest_ap3_free(m: int, budget: SolveBudget | None = None,
-                     engine: Ap3Engine | None = None) -> Ap3Result:
-    """L(m) = size of the largest 3-AP-free subset of [1..m], with witness."""
-    return (engine or Ap3Engine()).longest(m, budget)
-
-
-def min_span_ap3_free(k: int, budget: SolveBudget | None = None,
-                      engine: Ap3Engine | None = None) -> Ap3Result:
-    """Minimal m admitting a k-element 3-AP-free subset of [1..m], with witness."""
-    return (engine or Ap3Engine()).min_span(k, budget)
-
-
-def enumerate_witnesses(k: int, m: int, limit: int) -> list[tuple[int, ...]]:
-    """Up to `limit` k-element 3-AP-free subsets of [1..m], lexicographic order."""
-    if k < 1 or m < 1:
-        raise ValueError("k and m must be >= 1")
-    out: list[tuple[int, ...]] = []
-    if limit <= 0 or k > m:
-        return out
-    full = (1 << (m + 1)) - 2
-    chosen: list[int] = []
-
-    def walk(count: int, blocked: int, mirror: int, lo: int) -> bool:
-        free = full & ~blocked & -(1 << lo)
-        need = k - count - 1
-        while free:
-            bit = free & -free
-            free ^= bit
-            v = bit.bit_length() - 1
-            if need > m - v:
-                return False
-            chosen.append(v)
-            if need == 0:
-                out.append(tuple(chosen))
-                chosen.pop()
-                if len(out) >= limit:
-                    return True
-                continue
-            shift = 2 * v - m
-            blocks = mirror << shift if shift >= 0 else mirror >> -shift
-            if walk(count + 1, blocked | (blocks & full), mirror | (1 << (m - v)), v + 1):
-                return True
-            chosen.pop()
-        return False
-
-    walk(0, 0, 0, 1)
-    return out

@@ -57,9 +57,6 @@ class Graph:
             adj[v].append(u)
         return cls(n, tuple(normalized), tuple(tuple(sorted(a)) for a in adj))
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 def max_degree(g: Graph) -> int:
     """Largest vertex degree of g."""

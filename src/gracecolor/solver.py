@@ -21,7 +21,6 @@ that work.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .budget import TIME_CHECK_INTERVAL, BudgetExhausted, BudgetMeter, SolveBudget
@@ -45,7 +44,6 @@ class SolveReport:
     value: int | None
     witness: GracefulColoring | tuple[int, ...] | None
     nodes: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -180,15 +178,13 @@ def solve_graceful_decision(g: Graph, k: int,
         raise ValueError(f"palette size must be >= 2, got {k}")
     _require_connected(g)
     meter = BudgetMeter(budget)
-    start = time.perf_counter()
     try:
         witness = _decide(g, k, meter)
     except BudgetExhausted:
-        return SolveReport(EXHAUSTED, None, None, meter.nodes, time.perf_counter() - start)
+        return SolveReport(EXHAUSTED, None, None, meter.nodes)
     if witness is None:
-        return SolveReport(INFEASIBLE, None, None, meter.nodes, time.perf_counter() - start)
-    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes,
-                       time.perf_counter() - start)
+        return SolveReport(INFEASIBLE, None, None, meter.nodes)
+    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes)
 
 
 def chi_g(g: Graph, budget: SolveBudget | None = None,
@@ -203,16 +199,13 @@ def chi_g(g: Graph, budget: SolveBudget | None = None,
     _require_connected(g)
     meter = meter or BudgetMeter(budget)
     before = meter.nodes
-    start = time.perf_counter()
     k = max(2, graceful_lower_bound(g))
     try:
         while (witness := _decide(g, k, meter)) is None:
             k += 1
     except BudgetExhausted:
-        return SolveReport(EXHAUSTED, None, None, meter.nodes - before,
-                           time.perf_counter() - start)
-    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes - before,
-                       time.perf_counter() - start)
+        return SolveReport(EXHAUSTED, None, None, meter.nodes - before)
+    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes - before)
 
 
 # -- plain chromatic number ---------------------------------------------------
@@ -283,7 +276,6 @@ def chromatic_number(g: Graph, budget: SolveBudget | None = None,
     _require_connected(g)
     meter = meter or BudgetMeter(budget)
     before = meter.nodes
-    start = time.perf_counter()
     lower = len(_greedy_clique(g))
     greedy = _greedy_coloring(g)
     upper = max(greedy)
@@ -292,13 +284,11 @@ def chromatic_number(g: Graph, budget: SolveBudget | None = None,
         try:
             found = _chi_decide(g, k, meter)
         except BudgetExhausted:
-            return SolveReport(EXHAUSTED, None, None, meter.nodes - before,
-                               time.perf_counter() - start)
+            return SolveReport(EXHAUSTED, None, None, meter.nodes - before)
         if found is not None:
             value, witness = k, found
             break
-    return SolveReport(SOLVED, value, witness, meter.nodes - before,
-                       time.perf_counter() - start)
+    return SolveReport(SOLVED, value, witness, meter.nodes - before)
 
 
 def characterize(g: Graph, budget: SolveBudget | None = None) -> Characterization:

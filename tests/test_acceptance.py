@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from gracecolor.ap3 import Ap3Engine, is_ap3_free, min_span_ap3_free
+from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import SolveBudget
 from gracecolor.checking import GracefulColoring, verify_graceful
 from gracecolor.complete import check_complete_equivalence
@@ -176,7 +176,7 @@ def test_criterion_06_ap3_oracle_equivalence():
         assert engine.longest(m).value == expected, f"L({m})"
     ladder = Ap3Engine()
     for k in range(1, 13):
-        direct = min_span_ap3_free(k).value
+        direct = Ap3Engine().min_span(k).value
         m = 1
         while ladder.longest(m).value < k:
             m += 1

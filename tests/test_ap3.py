@@ -1,17 +1,10 @@
 """3-AP-free engine: membership, longest subsets, minimal spans, witnesses."""
 
-import itertools
 import random
 
 import pytest
 
-from gracecolor.ap3 import (
-    Ap3Engine,
-    enumerate_witnesses,
-    is_ap3_free,
-    longest_ap3_free,
-    min_span_ap3_free,
-)
+from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import SolveBudget
 from support import contains_progression, longest_by_enumeration
 
@@ -45,9 +38,9 @@ def test_is_ap3_free_matches_triple_scan():
 
 
 def test_longest_small_derived_values():
-    r4 = longest_ap3_free(4)
+    r4 = Ap3Engine().longest(4)
     assert (r4.value, r4.witness) == (3, (1, 2, 4))
-    r8 = longest_ap3_free(8)
+    r8 = Ap3Engine().longest(8)
     assert r8.value == 4
     assert len(r8.witness) == 4 and is_ap3_free(r8.witness)
     assert max(r8.witness) <= 8
@@ -92,13 +85,13 @@ def test_longest_witness_valid_at_every_level():
 
 
 def test_min_span_examples():
-    r = min_span_ap3_free(4)
+    r = Ap3Engine().min_span(4)
     assert (r.value, r.witness) == (5, (1, 2, 4, 5))
-    r = min_span_ap3_free(5)
+    r = Ap3Engine().min_span(5)
     assert (r.value, r.witness) == (9, (1, 2, 4, 8, 9))
-    r = min_span_ap3_free(1)
+    r = Ap3Engine().min_span(1)
     assert (r.value, r.witness) == (1, (1,))
-    assert min_span_ap3_free(9).value == 20
+    assert Ap3Engine().min_span(9).value == 20
 
 
 def test_min_span_cross_check_against_longest():
@@ -142,34 +135,11 @@ def test_reflection_invariance():
         assert is_ap3_free(tuple(s)) == is_ap3_free(mirrored)
 
 
-# -- witness enumeration -----------------------------------------------------------
-
-
-def test_enumerate_witnesses_examples():
-    assert enumerate_witnesses(3, 4, 10) == [(1, 2, 4), (1, 3, 4)]
-    assert enumerate_witnesses(3, 3, 10) == []
-    assert enumerate_witnesses(2, 2, 10) == [(1, 2)]
-
-
-def test_enumerate_witnesses_matches_combinations():
-    for k, m in ((2, 6), (3, 7), (4, 9)):
-        want = [c for c in itertools.combinations(range(1, m + 1), k)
-                if not contains_progression(c)]
-        assert enumerate_witnesses(k, m, 10 ** 6) == want
-
-
-def test_enumerate_witnesses_respects_limit():
-    full = enumerate_witnesses(3, 9, 10 ** 6)
-    assert len(full) > 3
-    assert enumerate_witnesses(3, 9, 3) == full[:3]
-    assert enumerate_witnesses(3, 9, 0) == []
-
-
 # -- budgets and seeding -------------------------------------------------------------
 
 
 def test_budget_exhaustion_returns_unproven_lower_bound():
-    result = longest_ap3_free(40, SolveBudget(max_nodes=50))
+    result = Ap3Engine().longest(40, SolveBudget(max_nodes=50))
     assert not result.proven
     assert result.value <= 15
     assert is_ap3_free(result.witness)
@@ -177,7 +147,7 @@ def test_budget_exhaustion_returns_unproven_lower_bound():
 
 
 def test_budget_exhaustion_min_span():
-    result = min_span_ap3_free(12, SolveBudget(max_nodes=30))
+    result = Ap3Engine().min_span(12, SolveBudget(max_nodes=30))
     assert not result.proven
     assert result.witness == ()
 
@@ -228,5 +198,4 @@ def test_stats_are_populated():
     engine = Ap3Engine()
     result = engine.longest(30)
     assert result.stats.nodes > 0
-    assert result.stats.elapsed >= 0.0
     assert result.stats.prunes_by_bound > 0

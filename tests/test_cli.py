@@ -1,11 +1,15 @@
 """Command-line behavior: dispatch, exit codes, formats, cache, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gracecolor.cli import run
-from gracecolor.graphs import parse_graph, serialize_graph, wheel
+from gracecolor.graphs import cycle, parse_graph, serialize_graph, wheel
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
 
 
@@ -187,6 +191,37 @@ def test_malformed_graph_is_io_error(tmp_path):
     code, _, err = invoke("solve", str(path))
     assert code == 4
     assert "line 3" in err
+
+
+def test_non_utf8_files_are_io_errors(tmp_path, p3_file):
+    # UnicodeDecodeError is a ValueError, which would otherwise be a usage error
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe3 2\n0 1\n1 2\n")
+    for argv in (("solve", str(bad)), ("verify", p3_file, str(bad)),
+                 ("ap3", "longest", "5", "--cache", str(bad))):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_too_deep_search_exits_unproven(tmp_path):
+    # the chromatic search recurses once per vertex, past Python's limit here
+    path = tmp_path / "c1201.txt"
+    path.write_text(serialize_graph(cycle(1201)))
+    code, out, err = invoke("chromatic", str(path))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "recursion" in err
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("GRACECOLOR_CACHE", None)
+    done = subprocess.run([sys.executable, "-m", "gracecolor", "complete", "5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "chi_g(K_5) = 9\nwitness: 1,2,4,8,9\n"
 
 
 def test_byte_identical_output(k4_file):

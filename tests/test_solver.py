@@ -1,10 +1,11 @@
 """Exact solver: bounds, decisions, iterative deepening, characterization."""
 
+import dataclasses
 import random
 
 import pytest
 
-from gracecolor.ap3 import Ap3Engine
+from gracecolor.ap3 import Ap3Engine, Ap3Result, SearchStats
 from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
 from gracecolor.checking import verify_graceful
 from gracecolor.graphs import Graph, complete, complete_bipartite, cycle, path, star, wheel
@@ -12,6 +13,7 @@ from gracecolor.solver import (
     EXHAUSTED,
     INFEASIBLE,
     SOLVED,
+    SolveReport,
     characterize,
     chi_g,
     chromatic_number,
@@ -230,3 +232,14 @@ def test_single_vertex_graph():
     assert report.status == SOLVED
     assert report.value == 2  # palettes start at two colors
     assert chromatic_number(g).value == 1
+
+
+def test_result_fields():
+    # the benchmark reads these fields, and tells an Ap3Result from a
+    # SolveReport by whether it has a stats field
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(SearchStats) == ["nodes", "prunes_by_bound"]
+    assert names(Ap3Result) == ["value", "witness", "stats", "proven"]
+    assert names(SolveReport) == ["status", "value", "witness", "nodes"]
