@@ -45,7 +45,7 @@ class SearchStats:
     prunes_by_bound: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ap3Result:
     """Outcome of one exact computation.
 

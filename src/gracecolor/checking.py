@@ -23,7 +23,7 @@ class ColoringFormatError(ValueError):
     """Malformed coloring document."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GracefulColoring:
     """Vertex colors (1-indexed values) with a palette size l >= 2.
 

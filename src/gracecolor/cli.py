@@ -97,8 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # the decoder's message does not say which file it was reading
+        raise OSError(f"{path}: {exc}") from None
 
 
 def _budget(args: argparse.Namespace) -> SolveBudget:
@@ -141,8 +145,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
 
     try:
         return _dispatch(args, out, err)
-    except (GraphFormatError, ColoringFormatError, tables.CacheFormatError, OSError,
-            UnicodeDecodeError) as exc:
+    except (GraphFormatError, ColoringFormatError, tables.CacheFormatError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_IO
     except BudgetExhausted as exc:

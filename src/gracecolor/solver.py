@@ -5,13 +5,16 @@ search proves or refutes the existence of a graceful k-coloring for k =
 lower_bound, lower_bound+1, ... and the first success is exact because every
 smaller k was refuted exhaustively.
 
-The decision search assigns vertices in a fixed order (degree descending,
-index ascending) and keeps, for every uncolored vertex, the set of colors not
+The decision search keeps, for every uncolored vertex, the set of colors not
 yet forbidden.  A color c is forbidden at v when a colored neighbor u has
 color c, or |c - color(u)| collides with an incident edge color at u, or two
 colored neighbors of v would both induce the same edge color |c - color(u)|.
-The first vertex only tries colors up to ceil(k/2): reflecting every color x
-to k+1-x preserves gracefulness, so half the palette suffices there.
+It colors next the uncolored vertex with the fewest colors left (fail-first,
+as in Brelaz's DSATUR), ties going to the higher degree and then the lower
+index, so a vertex whose neighborhood is mostly colored is settled before
+far-apart hubs are.  The first vertex is the highest-degree one and only
+tries colors up to ceil(k/2): reflecting every color x to k+1-x preserves
+gracefulness, so half the palette suffices there.
 
 Every search runs sequentially in the calling process.  All levels of a
 deepening run, and both searches of characterize(), draw on one BudgetMeter,
@@ -32,7 +35,7 @@ INFEASIBLE = "infeasible-at-k"
 EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """Result of one exact computation.
 
@@ -94,8 +97,7 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     initial = [full] * n
     initial[order[0]] = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
 
-    def dfs(i: int, domains: list[int]) -> bool:
-        x = order[i]
+    def dfs(x: int, domains: list[int]) -> bool:
         dom = domains[x]
         while dom:
             bit = dom & -dom
@@ -107,8 +109,6 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
                 meter.check_time()
             c = bit.bit_length() - 1
             colors[x] = c
-            if i + 1 == n:
-                return True
             nd = list(domains)
             alive = True
             for v in adj[x]:
@@ -154,13 +154,25 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
                             break
                     if not alive:
                         break
-            if alive and dfs(i + 1, nd):
-                return True
+            if alive:
+                # fail-first: fewest live colors, ties to the earliest in order;
+                # an empty domain was pruned above, so one color is the least.
+                # No uncolored vertex is left when nxt stays -1.
+                nxt, fewest = -1, k + 1
+                for v in order:
+                    if not colors[v]:
+                        live = nd[v].bit_count()
+                        if live < fewest:
+                            nxt, fewest = v, live
+                            if live == 1:
+                                break
+                if nxt < 0 or dfs(nxt, nd):
+                    return True
         colors[x] = 0
         return False
 
     try:
-        if dfs(0, initial):
+        if dfs(order[0], initial):
             return tuple(colors)
         return None
     finally:

@@ -204,26 +204,31 @@ class ValueCache:
 def load_cache(path: str) -> ValueCache:
     """Read a cache file; malformed lines are rejected with their line number."""
     cache = ValueCache()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(" ")
-            if len(parts) != 4:
-                raise CacheFormatError(f"expected 4 fields, got {len(parts)}", lineno)
-            kind, index_s, value_s, witness_s = parts
-            try:
-                index, value = int(index_s), int(value_s)
-                witness = tuple(int(tok) for tok in witness_s.split(","))
-            except ValueError:
-                raise CacheFormatError(f"bad integer field in {line!r}", lineno) from None
-            if cache.get(kind, index) is not None:
-                raise CacheFormatError(f"duplicate record {kind} {index}", lineno)
-            try:
-                cache.put(KnownValue(kind, index, value, witness))
-            except ValueError as exc:
-                raise CacheFormatError(str(exc), lineno) from None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        # the decoder's message does not say which file it was reading
+        raise CacheFormatError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(" ")
+        if len(parts) != 4:
+            raise CacheFormatError(f"expected 4 fields, got {len(parts)}", lineno)
+        kind, index_s, value_s, witness_s = parts
+        try:
+            index, value = int(index_s), int(value_s)
+            witness = tuple(int(tok) for tok in witness_s.split(","))
+        except ValueError:
+            raise CacheFormatError(f"bad integer field in {line!r}", lineno) from None
+        if cache.get(kind, index) is not None:
+            raise CacheFormatError(f"duplicate record {kind} {index}", lineno)
+        try:
+            cache.put(KnownValue(kind, index, value, witness))
+        except ValueError as exc:
+            raise CacheFormatError(str(exc), lineno) from None
     return cache
 
 

@@ -202,6 +202,8 @@ def test_non_utf8_files_are_io_errors(tmp_path, p3_file):
         code, out, err = invoke(*argv)
         assert (code, out) == (4, ""), argv
         assert err.startswith("error: ") and "utf-8" in err
+        # the message names the bad file, and only that one
+        assert str(bad) in err and p3_file not in err, argv
 
 
 def test_too_deep_search_exits_unproven(tmp_path):

@@ -8,7 +8,16 @@ import pytest
 from gracecolor.ap3 import Ap3Engine, Ap3Result, SearchStats
 from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
 from gracecolor.checking import verify_graceful
-from gracecolor.graphs import Graph, complete, complete_bipartite, cycle, path, star, wheel
+from gracecolor.graphs import (
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    path,
+    random_tree,
+    star,
+    wheel,
+)
 from gracecolor.solver import (
     EXHAUSTED,
     INFEASIBLE,
@@ -23,6 +32,7 @@ from gracecolor.solver import (
 from support import (
     all_connected_graphs,
     brute_force_chi_g,
+    canonical_form,
     random_connected_graph,
 )
 
@@ -100,6 +110,31 @@ def test_decision_witnesses_always_verify():
         report = solve_graceful_decision(g, k)
         if report.status == SOLVED:
             assert verify_graceful(g, report.witness).valid, (g.edges, k)
+
+
+def test_decision_refutes_exactly_below_chi_g():
+    """Completeness: the decision search proves a palette infeasible exactly
+    when it is smaller than the brute-force graceful chromatic number."""
+    rng = random.Random(5051)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    graphs += [random_connected_graph(rng, 6) for _ in range(15)]
+    oracle: dict = {}
+    for g in graphs:
+        key = canonical_form(g)
+        if key not in oracle:
+            oracle[key] = brute_force_chi_g(g)
+        for k in range(2, oracle[key] + 1):
+            expected = SOLVED if k == oracle[key] else INFEASIBLE
+            assert solve_graceful_decision(g, k).status == expected, (g.edges, k)
+
+
+def test_trees_solved_within_node_cap():
+    # a search that colors vertices in a fixed degree order spends this whole
+    # cap refuting k = max degree + 1 on both trees
+    budget = SolveBudget(max_nodes=150_000)
+    for n, seed, expected in ((40, 2, 5), (39, 39, 6)):
+        report = chi_g(random_tree(n, seed), budget)
+        assert (report.status, report.value) == (SOLVED, expected), (n, seed)
 
 
 def test_chi_g_at_least_lower_bound():
