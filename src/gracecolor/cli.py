@@ -13,8 +13,7 @@ Subcommands:
   gen <family> <params...>    emit a named graph as an edge-list document
 
 Exit codes: 0 success/valid; 1 invalid coloring, failed check, or reference
-mismatch; 2 usage error; 3 budget exhausted or search too deep; 4 I/O, parse
-or cache error.
+mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error.
 Results go to stdout, diagnostics to stderr.  Identical invocations with the
 same cache state produce byte-identical output (timings are never printed).
 """
@@ -150,10 +149,6 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         return EXIT_IO
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=err)
-        return EXIT_BUDGET
-    except RecursionError:
-        # the recursive searches go one frame deeper per vertex
-        print("search too deep: Python recursion limit reached", file=err)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=err)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gracecolor.cli import run
-from gracecolor.graphs import cycle, parse_graph, serialize_graph, wheel
+from gracecolor.graphs import parse_graph, serialize_graph, wheel
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
 
 
@@ -206,13 +206,15 @@ def test_non_utf8_files_are_io_errors(tmp_path, p3_file):
         assert str(bad) in err and p3_file not in err, argv
 
 
-def test_too_deep_search_exits_unproven(tmp_path):
-    # the chromatic search recurses once per vertex, past Python's limit here
-    path = tmp_path / "c1201.txt"
-    path.write_text(serialize_graph(cycle(1201)))
-    code, out, err = invoke("chromatic", str(path))
-    assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and "recursion" in err
+def test_graphs_past_the_recursion_limit_are_solved(tmp_path):
+    # more vertices than Python's recursion limit allows frames
+    for family, n, command, first_line in (("cycle", "1201", "chromatic", "chi = 3"),
+                                           ("path", "1500", "solve", "chi_g = 4")):
+        graph = tmp_path / f"{family}{n}.txt"
+        graph.write_text(invoke("gen", family, n)[1])
+        code, out, err = invoke(command, str(graph))
+        assert (code, err) == (0, ""), (family, err)
+        assert out.splitlines()[0] == first_line, family
 
 
 def test_module_entry_point():

@@ -13,6 +13,7 @@ from gracecolor.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    diameter,
     path,
     random_tree,
     star,
@@ -23,6 +24,7 @@ from gracecolor.solver import (
     INFEASIBLE,
     SOLVED,
     SolveReport,
+    _diameter_at_most_2,
     characterize,
     chi_g,
     chromatic_number,
@@ -31,6 +33,7 @@ from gracecolor.solver import (
 )
 from support import (
     all_connected_graphs,
+    all_graphs,
     brute_force_chi_g,
     canonical_form,
     random_connected_graph,
@@ -137,6 +140,38 @@ def test_trees_solved_within_node_cap():
         assert (report.status, report.value) == (SOLVED, expected), (n, seed)
 
 
+def test_chromatic_tree_solved_within_node_cap():
+    # a search that colors vertices in a fixed degree order spends this whole
+    # cap looking for the 2-coloring; the fail-first one needs 200 nodes
+    tree = random_tree(200, 1)
+    report = chromatic_number(tree, SolveBudget(max_nodes=10_000))
+    assert (report.status, report.value) == (SOLVED, 2)
+    result = characterize(tree, SolveBudget(max_nodes=10_000))
+    assert (result.chi, result.chi_g) == (2, 7)
+
+
+@pytest.mark.parametrize("build,value,nodes", [
+    (lambda: complete_bipartite(3, 4), 7, 101),
+    (lambda: complete_bipartite(4, 5), 9, 1373),
+    (lambda: wheel(8), 8, 8),
+    (lambda: cycle(7), 4, 7),
+    (lambda: complete(6), 11, 4853),
+    (lambda: random_tree(39, 39), 6, 585),
+    (lambda: random_tree(40, 2), 5, 51),
+])
+def test_chi_g_nodes_are_pinned(build, value, nodes):
+    # node counts of the graceful kernel; a change to its order, propagation
+    # or symmetry break that moves them must update these pins
+    report = chi_g(build())
+    assert (report.status, report.value, report.nodes) == (SOLVED, value, nodes)
+
+
+def test_diameter_check_matches_diameter():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            assert _diameter_at_most_2(g) == (diameter(g) <= 2), g.edges
+
+
 def test_chi_g_at_least_lower_bound():
     rng = random.Random(1618)
     for _ in range(40):
@@ -230,6 +265,8 @@ def test_chromatic_witness_is_proper():
 
 
 def test_chromatic_matches_exhaustive_small():
+    """Completeness of the chromatic kernel, whose new colors enter in
+    canonical order while the vertex order changes along each branch."""
     import itertools
 
     def brute_chi(g):
@@ -239,9 +276,26 @@ def test_chromatic_matches_exhaustive_small():
                     return k
         return g.n
 
-    for n in range(1, 5):
-        for g in all_connected_graphs(n):
-            assert chromatic_number(g).value == brute_chi(g)
+    def check(g, expected):
+        report = chromatic_number(g)
+        assert report.value == expected, g.edges
+        assert all(report.witness[u] != report.witness[v] for u, v in g.edges)
+        return report
+
+    rng = random.Random(7013)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    graphs += [random_connected_graph(rng, n) for n in (6, 7) for _ in range(30)]
+    oracle: dict = {}
+    for g in graphs:
+        key = canonical_form(g)
+        if key not in oracle:
+            oracle[key] = brute_chi(g)
+        check(g, oracle[key])
+    # the greedy coloring of these trees uses 3 colors, so the decision
+    # search itself has to find the 2-coloring
+    for n, seed in ((7, 7), (8, 3), (9, 2), (10, 2)):
+        tree = random_tree(n, seed)
+        assert check(tree, brute_chi(tree)).nodes > 0, (n, seed)
 
 
 def test_characterize_examples():
