@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .budget import TIME_CHECK_INTERVAL, BudgetExhausted, BudgetMeter, SolveBudget
+from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 
 
 def is_ap3_free(elements: Sequence[int]) -> bool:
@@ -157,6 +157,11 @@ class Ap3Engine:
         return stats, True
 
 
+def _upto(x: int) -> int:
+    """Bitmask of 0..x, or of nothing when x < 0."""
+    return (2 << x) - 1 if x >= 0 else 0
+
+
 def _find_of_size(m: int, target: int, lengths: Sequence[int],
                   meter: BudgetMeter, stats: SearchStats) -> tuple[int, ...] | None:
     """Find the lexicographically first 3-AP-free subset of [1..m] with
@@ -174,94 +179,95 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     interior element of S exceeds m+1-s2, where s2 is the second element,
     then the reflection of S has a smaller second element, so S is not the
     lexicographically first witness.  Hence the search may keep every later
-    interior element <= m+1-s2 without losing that witness, and refutes a
-    level exactly when the unrestricted search would.
+    interior element <= cap = m+1-s2 without losing that witness, and refutes
+    a level exactly when the unrestricted search would.
 
-    Depth-first over interior candidates in increasing order.  State per
-    branch: a bitmask of the candidates still open (above the last choice,
-    within the cap, and completing no progression: after choosing a then
-    b > a, the value 2b-a is dropped) and a mirrored copy of the chosen set,
-    so the values dropped by candidate v are one shift of the mirror.
+    Search.  Depth first over interior candidates in increasing order, in
+    one loop on an explicit stack; the frame being searched lives in locals.
+    A frame holds `need`, the interior elements still to place after its
+    next choice; `free`, the bitmask of candidates still open (above the
+    last choice, within the cap, completing no progression); and `mirror`,
+    the chosen set with bit 2m-a for each chosen a.  Choosing v drops the
+    values 2v-a, which are mirror >> 2(m-v), and its midpoint with m.  The
+    witness is read back from the mirror on success.  The bottom frame
+    chooses s2 and fixes the cap of its branch.
 
-    With `need` interior elements still to place after candidate v, the
-    branch is abandoned unless need + 2 <= L(m-v+1) (v, they and m lie in
-    [v..m]), need + 1 <= L(m+2-s2-v) (v and they lie in [v..m+1-s2]) and
-    need <= the unblocked candidates left; all three shrink as v grows, so
-    the whole candidate loop ends at the first failure.
+    Window masks.  A candidate v followed by `need` more elements must leave
+    room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); v and
+    they lie in [v..cap], so need+1 <= L(cap+1-v).  Both bounds fall as v
+    grows, so each admits a prefix of the candidates, v <= m+1-a(need+2)
+    and v <= cap+1-a(need+1), with a(n) found in `lengths` by bisection.
+    window[need] masks that prefix; it is computed once per s2 branch (the
+    s2 frame's window also holds s2 <= cap).  Candidates are taken lowest
+    first, so a frame ends as soon as its lowest open candidate leaves its
+    window.  A candidate also needs `need` open candidates above it (the
+    popcount test); that count only falls, so a failure ends the frame.
 
-    Requires lengths[t] = L(t) for all t < m.  Counts one node per candidate
-    tried, and one for a level with target <= 2, whose answer is {1, m}.
+    Check before push.  A child frame is pushed only if it has an open
+    candidate in window[need-1] (a prefix, so its lowest one is in it) and
+    at least `need` open candidates: otherwise its first candidate would
+    fail the window or the popcount test and end it at once.
+
+    Counts.  A node is a candidate taken off a frame inside its window, and
+    the budget is charged per node.  A prune is a frame the window ends with
+    candidates left, a candidate failing the popcount test, or a child
+    refused before push.  A level with target <= 2, whose answer is {1, m},
+    counts one node.
+
+    Requires lengths[t] = L(t) for all t < m.
     """
-    node_cap, timed = meter.limits()
     if target <= 2:
-        if node_cap < 1:
-            raise BudgetExhausted("node limit reached")
+        meter.next_stop(0)
         meter.spend(1)
         stats.nodes += 1
         return (1,) if m == 1 else (1, m)
 
-    counters = [0, 0]  # nodes, bound prunes
-    chosen = [1]
-
-    def extend(need: int, mirror: int, free: int, cap: int) -> bool:
-        # Choose the next interior element from `free`; every element placed
-        # from here on is <= cap, the reflection bound m+1-s2.
-        while free:
-            bit = free & -free
-            free ^= bit
-            if counters[0] >= node_cap:
-                raise BudgetExhausted("node limit reached")
-            counters[0] += 1
-            if timed and counters[0] % TIME_CHECK_INTERVAL == 0:
-                meter.check_time()
-            v = bit.bit_length() - 1
-            if (need + 1 >= lengths[m - v + 1] or need >= lengths[cap - v + 1]
-                    or need > free.bit_count()):
-                counters[1] += 1
-                return False
-            chosen.append(v)
-            if need == 0:
-                return True
-            shift = 2 * v - m
-            blocks = mirror << shift if shift >= 0 else mirror >> -shift
-            if (v + m) & 1 == 0:
-                blocks |= 1 << ((v + m) >> 1)
-            if extend(need - 1, mirror | (1 << (m - v)), free & ~blocks, cap):
-                return True
-            chosen.pop()
-        return False
-
-    # The second element s2 fixes the reflection cap m+1-s2 of its branch.
-    need = target - 3  # interior elements still to place after s2
-    free = (1 << m) - 4  # interior bits 2..m-1
-    if m & 1:
-        free &= ~(1 << ((1 + m) >> 1))
+    span = [bisect_left(lengths, n) for n in range(target)]  # a(n) for n < target
+    m2 = 2 * m
+    mids = [0 if (v + m) & 1 else 1 << ((v + m) >> 1) for v in range(m)]
+    top = target - 3  # interior elements still to place after s2
+    window = [0] * (top + 1)
+    window[top] = _upto(min((m + 1) >> 1, m + 1 - span[top + 2],
+                            (m + 2 - span[top + 1]) >> 1))
+    need, free, mirror = top, ((1 << m) - 4) & ~mids[1], 1 << (m2 - 1)
+    w = window[top]
+    stack: list[tuple[int, int, int]] = []
+    nodes = stop = prunes = 0
     try:
-        while free:
-            bit = free & -free
-            free ^= bit
-            if counters[0] >= node_cap:
-                raise BudgetExhausted("node limit reached")
-            counters[0] += 1
-            if timed and counters[0] % TIME_CHECK_INTERVAL == 0:
-                meter.check_time()
-            s2 = bit.bit_length() - 1
-            cap = m + 1 - s2
-            if s2 > cap or need + 1 >= lengths[m - s2 + 1] or need >= lengths[cap - s2 + 1]:
-                counters[1] += 1
-                return None
-            chosen.append(s2)
-            if need == 0:
-                return (*chosen, m)
-            blocks = 1 << (2 * s2 - 1)  # completes 1, s2, 2*s2-1
-            if (s2 + m) & 1 == 0:
-                blocks |= 1 << ((s2 + m) >> 1)
-            if extend(need - 1, (1 << (m - 1)) | (1 << (m - s2)),
-                      free & ~blocks & ((1 << (cap + 1)) - 1), cap):
-                return (*chosen, m)
-            chosen.pop()
-        return None
+        while True:
+            b = free & -free
+            if not b & w:
+                if free:
+                    prunes += 1
+                if not stack:
+                    return None
+                need, free, mirror = stack.pop()
+                w = window[need]
+                continue
+            free ^= b
+            if nodes == stop:
+                stop = meter.next_stop(nodes)
+            nodes += 1
+            if need > free.bit_count():
+                prunes += 1
+                free = 0
+                continue
+            v = b.bit_length() - 1
+            if not need:
+                return (*(m2 - i for i in range(m2 - 1, m, -1) if mirror >> i & 1), v, m)
+            child = free & ~(mirror >> (m2 - 2 * v) | mids[v])
+            if need == top:  # v is s2
+                cap = m + 1 - v
+                child &= _upto(cap)
+                for n in range(top):
+                    window[n] = _upto(min(m + 1 - span[n + 2], cap + 1 - span[n + 1]))
+            if child & window[need - 1] and child.bit_count() >= need:
+                stack.append((need, free, mirror))
+                need -= 1
+                free, mirror, w = child, mirror | 1 << (m2 - v), window[need]
+            else:
+                prunes += 1
     finally:
-        meter.spend(counters[0])
-        stats.nodes += counters[0]
-        stats.prunes_by_bound += counters[1]
+        meter.spend(nodes)
+        stats.nodes += nodes
+        stats.prunes_by_bound += prunes

@@ -17,8 +17,9 @@ class BudgetExhausted(Exception):
 class SolveBudget:
     """Limits for one exact computation; None means unlimited.
 
-    Node counts are checked on every search node; the wall clock is checked
-    every TIME_CHECK_INTERVAL nodes.
+    Node counts are checked on every search node; the wall clock at a
+    kernel's first node and then every TIME_CHECK_INTERVAL nodes.  A limit
+    of 0 seconds stops every search at its first node.
     """
 
     max_nodes: int | None = None
@@ -27,8 +28,8 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and self.max_seconds < 0:
+            raise ValueError("max_seconds must not be negative")
 
 
 UNLIMITED = SolveBudget()
@@ -38,12 +39,18 @@ class BudgetMeter:
     """Mutable node counter plus deadline for one logical solve.
 
     A single meter may span several searches (iterative deepening, or both
-    searches of a characterization, share one budget); kernels take their
-    limits from limits() once per run, count nodes locally in their hot loops,
-    and call spend() with the total when they return or raise.
+    searches of a characterization, share one budget).  A kernel counts its
+    nodes in a local, starts with stop = 0, and before counting each node
+    compares the count with stop once:
+
+        if nodes == stop:
+            stop = meter.next_stop(nodes)
+        nodes += 1
+
+    It calls spend() with its total when it returns or raises.
     """
 
-    __slots__ = ("budget", "nodes", "deadline")
+    __slots__ = ("budget", "nodes", "deadline", "_cap")
 
     def __init__(self, budget: SolveBudget | None):
         self.budget = budget or UNLIMITED
@@ -53,20 +60,25 @@ class BudgetMeter:
             if self.budget.max_seconds is not None
             else None
         )
-
-    def limits(self) -> tuple[int, bool]:
-        """(node cap, timed) for one kernel run.
-
-        The kernel raises BudgetExhausted once it has counted node cap nodes,
-        and calls check_time() every TIME_CHECK_INTERVAL nodes when timed.
-        """
         max_nodes = self.budget.max_nodes
-        cap = _UNCAPPED if max_nodes is None else max_nodes - self.nodes
-        return cap, self.deadline is not None
+        self._cap = _UNCAPPED if max_nodes is None else max_nodes
+
+    def next_stop(self, counted: int) -> int:
+        """Check a kernel that has counted `counted` nodes not yet spent.
+
+        Raises BudgetExhausted when one more node would pass the node cap,
+        or when the deadline has passed.  Otherwise returns the count at
+        which the kernel calls again: the cap or the next time check,
+        whichever comes first.
+        """
+        left = self._cap - self.nodes
+        if counted >= left:
+            raise BudgetExhausted("node limit reached")
+        if self.deadline is None:
+            return left
+        if time.monotonic() >= self.deadline:
+            raise BudgetExhausted("wall-clock limit reached")
+        return min(left, counted + TIME_CHECK_INTERVAL)
 
     def spend(self, nodes: int) -> None:
         self.nodes += nodes
-
-    def check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExhausted("wall-clock limit reached")

@@ -13,7 +13,8 @@ Subcommands:
   gen <family> <params...>    emit a named graph as an edge-list document
 
 Exit codes: 0 success/valid; 1 invalid coloring, failed check, or reference
-mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error.
+mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error,
+or stdout closed by its reader.
 Results go to stdout, diagnostics to stderr.  Identical invocations with the
 same cache state produce byte-identical output (timings are never printed).
 """
@@ -144,6 +145,8 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
 
     try:
         return _dispatch(args, out, err)
+    except BrokenPipeError:
+        return EXIT_IO  # the reader closed stdout; nothing left to tell it
     except (GraphFormatError, ColoringFormatError, tables.CacheFormatError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_IO
@@ -294,4 +297,12 @@ def _emit_solve(report: solver.SolveReport, label: str, args: argparse.Namespace
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit does not report the pipe a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)

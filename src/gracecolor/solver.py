@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .budget import TIME_CHECK_INTERVAL, BudgetExhausted, BudgetMeter, SolveBudget
+from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 from .checking import GracefulColoring
 from .graphs import Graph, is_connected, max_degree, regularity
 
@@ -127,8 +127,7 @@ def _search(g: Graph, palette: int, first: int, propagate: _Rule,
     about 10 % slower.
     """
     order = _search_order(g)
-    node_cap, timed = meter.limits()
-    nodes = 0
+    nodes = stop = 0
     colors = [0] * g.n
     x = order[0]
     domains = [(1 << (palette + 1)) - 2] * g.n
@@ -145,11 +144,9 @@ def _search(g: Graph, palette: int, first: int, propagate: _Rule,
                 continue
             bit = todo & -todo
             todo ^= bit
-            if nodes >= node_cap:
-                raise BudgetExhausted("node limit reached")
+            if nodes == stop:
+                stop = meter.next_stop(nodes)
             nodes += 1
-            if timed and nodes % TIME_CHECK_INTERVAL == 0:
-                meter.check_time()
             c = bit.bit_length() - 1
             colors[x] = c
             child = propagate(x, c, colors, domains, allowed)

@@ -1,11 +1,14 @@
 """3-AP-free engine: membership, longest subsets, minimal spans, witnesses."""
 
+import hashlib
+import os
 import random
 
 import pytest
 
 from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import SolveBudget
+from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
 from support import contains_progression, longest_by_enumeration
 
 # -- membership ----------------------------------------------------------------
@@ -62,6 +65,33 @@ def test_longest_matches_enumeration_oracle_up_to_20():
             # previous level's witness, which the oracle does not predict
             assert got.witness == first, f"L({m})"
             assert got.witness[0] == 1 and got.witness[-1] == m
+
+
+def test_new_level_witnesses_are_pinned_up_to_63():
+    # where L grows, the ladder's witness is the lexicographically first
+    # maximum set, the one the reference table records for a(L)
+    engine = Ap3Engine()
+    engine.longest(63)
+    previous = 0
+    for m, value, witness in engine.proven_levels():
+        if value > previous:
+            want = (1,) if m == 1 else CHI_G_COMPLETE_REFERENCE[value][1]
+            assert (m, witness) == (want[-1], want), f"L({m})"
+        previous = value
+    assert previous == 20
+
+
+@pytest.mark.skipif(not os.environ.get("GRACECOLOR_EXTENDED"),
+                    reason="optional tier: set GRACECOLOR_EXTENDED=1 (about a minute)")
+def test_ladder_digest_up_to_84():
+    # lines "m L(m) witness" for m = 1..84, hashed, as pinned from a run of
+    # the kernel: any change to a value or a witness moves the digest
+    engine = Ap3Engine()
+    assert engine.longest(84).proven
+    text = "".join(f"{m} {value} {','.join(map(str, witness))}\n"
+                   for m, value, witness in engine.proven_levels())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1213af38720b33f75433c099ffa67f03593ce917009161476dfdb93c5b351136")
 
 
 def test_longest_monotone_with_unit_steps():

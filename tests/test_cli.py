@@ -228,6 +228,27 @@ def test_module_entry_point():
     assert done.stdout == "chi_g(K_5) = 9\nwitness: 1,2,4,8,9\n"
 
 
+def test_closed_stdout_exits_4_quietly():
+    """A reader that closes stdout early gets exit code 4 and no message.
+
+    The pipe's read end is closed before the command writes: CPython drops
+    the rest of a single write that its reader abandons midway without an
+    error, so a reader that takes one line first would not see the close.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gracecolor", "gen", "path", "20000"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (4, "")
+
+
 def test_byte_identical_output(k4_file):
     first = invoke("solve", k4_file)
     second = invoke("solve", k4_file)

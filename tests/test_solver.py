@@ -238,6 +238,31 @@ def test_budget_exhaustion_decision(monkeypatch):
         assert sum(spent) <= 8
 
 
+def test_zero_seconds_stops_every_kernel():
+    # the clock is read at a kernel's first node, so a spent deadline stops
+    # even searches far shorter than the time-check interval
+    budget = SolveBudget(max_seconds=0)
+    result = Ap3Engine().longest(30, budget)
+    assert (result.proven, result.stats.nodes) == (False, 0)
+    for report in (chi_g(cycle(7), budget), chromatic_number(wheel(10), budget),
+                   solve_graceful_decision(complete(5), 8, budget)):
+        assert (report.status, report.nodes) == (EXHAUSTED, 0)
+
+
+def test_no_kernel_spends_more_than_its_cap():
+    kernels = (
+        lambda meter: Ap3Engine().longest(40, meter=meter).proven,
+        lambda meter: chi_g(complete(6), meter=meter).status == SOLVED,
+        lambda meter: chromatic_number(wheel(10), meter=meter).status == SOLVED,
+    )
+    for cap in (1, 2, 3, 7, 50, 333):
+        for kernel in kernels:
+            meter = BudgetMeter(SolveBudget(max_nodes=cap))
+            finished = kernel(meter)
+            # a search that runs out has counted exactly its cap
+            assert meter.nodes <= cap if finished else meter.nodes == cap
+
+
 def test_budget_exhaustion_chi_g_reports_no_value():
     report = chi_g(complete(6), SolveBudget(max_nodes=10))
     assert report.status == EXHAUSTED

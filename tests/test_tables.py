@@ -185,7 +185,7 @@ def test_table_report_unproven_rows_on_tiny_budget():
 
 
 def test_table_report_budget_midway_never_wrong():
-    rows = table_report(12, SolveBudget(max_nodes=2000))
+    rows = table_report(12, SolveBudget(max_nodes=1000))
     for row in rows:
         if row.status == "ok":
             assert row.computed == known_chi_g_complete(row.n)
