@@ -39,7 +39,7 @@ def is_ap3_free(elements: Sequence[int]) -> bool:
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
     prunes_by_bound: int = 0

@@ -10,9 +10,26 @@ per-node cap/count/time check of this module.  A kernel supplies only its
 propagation rule: after vertex x gets color c, the rule returns the child's
 domains and the colors worth trying next, or None when a domain empties.
 
-Graceful rule.  A color c is forbidden at v when a colored neighbor u has
-color c, or |c - color(u)| collides with an incident edge color at u, or two
-colored neighbors of v would both induce the same edge color |c - color(u)|.
+Graceful rule.  A domain holds exactly the colors y for which the colored
+vertices plus v = y still form a graceful partial coloring.  After x gets
+color c, only the constraints that involve x are new, and each is applied
+once per node:
+  1. Every uncolored neighbor of x loses {c} and {cw, 2c - cw} for each
+     colored neighbor w of x: y = c repeats x's color, and y = cw or
+     2c - cw gives edge xv the color |c - cw| of edge xw.  The set does not
+     depend on v, so it is built once.
+  2. For each colored neighbor u of x, every uncolored neighbor v of u
+     loses {c, 2cu - c}: these are cu +- |cu - c|, the colors that give uv
+     the color of ux, and one of the two is always c.
+  3. An uncolored neighbor v of x loses the midpoint (c + cz)/2 of each
+     colored neighbor z of v, which gives vx and vz one color; a z of color
+     c leaves v no color at all, so the node is pruned.  The colors of v's
+     colored neighbors sit in a per-vertex mask, set when a node's
+     propagation succeeds and cleared when the search returns to that
+     vertex, so the rule shifts one mask instead of scanning v's neighbors.
+These are all the ways a graceful coloring can fail around a new vertex:
+its color is proper, the edge colors at a colored neighbor differ, and the
+edge colors at the uncolored vertex differ.
 Every color of 1..k is worth trying, except at the first vertex, the
 highest-degree one, which tries only colors up to ceil(k/2): reflecting
 every color x to k+1-x preserves gracefulness, so half the palette suffices
@@ -112,19 +129,22 @@ def _search_order(g: Graph) -> list[int]:
 
 
 _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] | None"]
+_Undo = Callable[[int, int], None]
 
 
 def _search(g: Graph, palette: int, first: int, propagate: _Rule,
-            meter: BudgetMeter) -> tuple[int, ...] | None:
+            meter: BudgetMeter, undo: _Undo | None = None) -> tuple[int, ...] | None:
     """Color every vertex from 1..palette as propagate allows, or prove it
     cannot be done.  Returns per-vertex colors or None.
 
     first is the bitmask of colors worth trying at the first vertex.  After
     colors[x] = c, propagate(x, c, colors, domains, allowed) returns the child
-    domains and the colors worth trying next, or None to prune.  The frame
-    being searched lives in locals and a tuple is pushed only on descent:
-    reading and writing stack[-1] at every node made the graceful corpus
-    about 10 % slower.
+    domains and the colors worth trying next, or None to prune.  When the
+    search comes back up to x, still colored c, from the child it descended
+    to, it calls undo(x, c) if given, so a rule may keep state along the
+    branch.  The frame being searched lives in locals and a tuple is pushed
+    only on descent: reading and writing stack[-1] at every node made the
+    graceful corpus about 10 % slower.
     """
     order = _search_order(g)
     nodes = stop = 0
@@ -141,6 +161,8 @@ def _search(g: Graph, palette: int, first: int, propagate: _Rule,
                 if not stack:
                     return None
                 x, todo, domains, allowed = stack.pop()
+                if undo is not None:
+                    undo(x, colors[x])
                 continue
             bit = todo & -todo
             todo ^= bit
@@ -178,29 +200,39 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     colors or None."""
     adj = g.adjacency
     full = (1 << (k + 1)) - 2  # colors 1..k
+    # nbr[v] holds the colors of v's colored neighbors, color c as the bit
+    # slot[c]: even color 2a at bit a, odd color 2a+1 at bit odd+a.  Only
+    # colors of c's parity have an integer midpoint with c, and those
+    # midpoints are that parity's part of the mask shifted left by (c+1)//2.
+    # No two colored neighbors of a vertex share a color on a live branch,
+    # so toggling slot[c] sets and clears c exactly.
+    odd = k // 2 + 1
+    evens = (1 << odd) - 1
+    slot = [1 << (odd + (c >> 1)) if c & 1 else 1 << (c >> 1) for c in range(k + 1)]
+    nbr = [0] * g.n
 
     def propagate(x, c, colors, domains, allowed):
         bit = 1 << c
+        near = bit
+        for w in adj[x]:
+            cw = colors[w]
+            if cw:
+                near |= 1 << cw
+                if cw < c + c:
+                    near |= 1 << (c + c - cw)
+        own, left = slot[c], (c + 1) >> 1
+        if c & 1:
+            right, keep = odd, -1
+        else:
+            right, keep = 0, evens
         nd = list(domains)
         for v in adj[x]:
             if colors[v]:
                 continue
-            mask = nd[v] & ~bit
-            for w in adj[x]:
-                cw = colors[w]
-                if cw and w != v:
-                    d = c - cw if c > cw else cw - c
-                    if c - d >= 1:
-                        mask &= ~(1 << (c - d))
-                    if c + d <= k:
-                        mask &= ~(1 << (c + d))
-            for u2 in adj[v]:
-                c2 = colors[u2]
-                if c2 and u2 != x:
-                    if c2 == c:
-                        return None  # every color clashes between x and u2 at v
-                    if (c + c2) % 2 == 0:
-                        mask &= ~(1 << ((c + c2) // 2))
+            nb = nbr[v]
+            if nb & own:
+                return None  # every color clashes between x and a neighbor of v
+            mask = nd[v] & ~(near | (nb >> right & keep) << left)
             if not mask:
                 return None
             nd[v] = mask
@@ -208,22 +240,24 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
             cu = colors[u]
             if not cu:
                 continue
-            d = cu - c if cu > c else c - cu
+            far = ~(bit | 1 << (cu + cu - c)) if cu + cu > c else ~bit
             for v in adj[u]:
-                if colors[v] or v == x:
-                    continue
-                mask = nd[v]
-                if cu - d >= 1:
-                    mask &= ~(1 << (cu - d))
-                if cu + d <= k:
-                    mask &= ~(1 << (cu + d))
-                if not mask:
-                    return None
-                nd[v] = mask
+                if not colors[v]:
+                    mask = nd[v] & far
+                    if not mask:
+                        return None
+                    nd[v] = mask
+        for v in adj[x]:
+            nbr[v] ^= own
         return nd, full
 
+    def undo(x, c):
+        own = slot[c]
+        for v in adj[x]:
+            nbr[v] ^= own
+
     half = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    return _search(g, k, half, propagate, meter)
+    return _search(g, k, half, propagate, meter, undo)
 
 
 def solve_graceful_decision(g: Graph, k: int,
@@ -255,10 +289,9 @@ def chi_g(g: Graph, budget: SolveBudget | None = None,
     the nodes of this run.  Running out of budget at any level makes the
     whole computation budget-exhausted; no unproven minimum is ever reported.
     """
-    _require_connected(g)
     meter = meter or BudgetMeter(budget)
     before = meter.nodes
-    k = max(2, graceful_lower_bound(g))
+    k = max(2, graceful_lower_bound(g))  # raises unless g is connected
     try:
         while (witness := _decide(g, k, meter)) is None:
             k += 1

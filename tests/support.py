@@ -27,17 +27,31 @@ def all_connected_graphs(n: int):
             yield g
 
 
-def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    """Random spanning tree plus a random subset of the remaining pairs."""
+def random_connected_graph(rng: random.Random, n: int, density: float = 0.35) -> Graph:
+    """Random spanning tree plus each remaining pair with probability density."""
     if n == 1:
         return Graph.from_edges(1, [])
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
     for u, v in itertools.combinations(range(n), 2):
-        if (u, v) not in edges and rng.random() < 0.35:
+        if (u, v) not in edges and rng.random() < density:
             edges.add((u, v))
     return Graph.from_edges(n, sorted(edges))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    def vid(r, c):
+        return r * cols + c
+    edges = [(vid(r, c), vid(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(vid(r, c), vid(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def hypercube(d: int) -> Graph:
+    n = 1 << d
+    return Graph.from_edges(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
+                                if not v >> b & 1])
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -60,14 +74,88 @@ def graceful_valid_oracle(g: Graph, colors, palette: int) -> bool:
     Written against edge pairs, unlike the per-vertex production verifier."""
     if any(not (1 <= c <= palette) for c in colors):
         return False
-    for u, v in g.edges:
+    return _graceful_on(g.edges, colors)
+
+
+def _graceful_on(edges, colors) -> bool:
+    for u, v in edges:
         if colors[u] == colors[v]:
             return False
-    edge_color = {e: abs(colors[e[0]] - colors[e[1]]) for e in g.edges}
-    for e, f in itertools.combinations(g.edges, 2):
+    edge_color = {e: abs(colors[e[0]] - colors[e[1]]) for e in edges}
+    for e, f in itertools.combinations(edges, 2):
         if (set(e) & set(f)) and edge_color[e] == edge_color[f]:
             return False
     return True
+
+
+def reference_graceful_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None, int]:
+    """The graceful decision search with every domain recomputed from the
+    definition at every node: y is open at an uncolored v iff the colored
+    vertices plus v = y are gracefully colored on the edges among them.
+    Same order as the solver: the next vertex has the fewest open colors,
+    ties to the higher degree and then the lower index; the first one tries
+    colors 1..ceil(k/2); colors ascend; a node is one color tried at one
+    vertex.  Returns (colors or None, nodes)."""
+    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    rank = {v: i for i, v in enumerate(order)}
+    colors = [0] * g.n
+    nodes = 0
+
+    def open_colors(v):
+        found = []
+        for y in range(1, k + 1):
+            colors[v] = y
+            if _graceful_on([e for e in g.edges if colors[e[0]] and colors[e[1]]], colors):
+                found.append(y)
+        colors[v] = 0
+        return found
+
+    def extend(x, choices) -> bool:
+        nonlocal nodes
+        for y in choices:
+            nodes += 1
+            colors[x] = y
+            domains = {v: open_colors(v) for v in range(g.n) if not colors[v]}
+            if not domains:
+                return True
+            if all(domains.values()):
+                nxt = min(domains, key=lambda v: (len(domains[v]), rank[v]))
+                if extend(nxt, domains[nxt]):
+                    return True
+        colors[x] = 0
+        return False
+
+    found = extend(order[0], range(1, (k + 1) // 2 + 1))
+    return (tuple(colors) if found else None), nodes
+
+
+def cnf_graceful_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
+    """A graceful k-coloring found by sympy's SAT solver, or None when the
+    formula is unsatisfiable.  The clauses restate the definition: each
+    vertex takes exactly one color, adjacent vertices differ, and no two
+    neighbors of a vertex lie at the same distance from its color."""
+    from sympy import symbols
+    from sympy.logic.boolalg import And, Not, Or
+    from sympy.logic.inference import satisfiable
+
+    palette = range(1, k + 1)
+    var = {(v, y): symbols(f"x_{v}_{y}") for v in range(g.n) for y in palette}
+    clauses = []
+    for v in range(g.n):
+        clauses.append(Or(*(var[v, y] for y in palette)))
+        clauses += [Or(Not(var[v, y]), Not(var[v, z]))
+                    for y, z in itertools.combinations(palette, 2)]
+    for u, v in g.edges:
+        clauses += [Or(Not(var[u, y]), Not(var[v, y])) for y in palette]
+    for w in range(g.n):
+        for u, v in itertools.combinations(sorted(g.adjacency[w]), 2):
+            for y, a, b in itertools.product(palette, repeat=3):
+                if abs(a - y) == abs(b - y):
+                    clauses.append(Or(Not(var[w, y]), Not(var[u, a]), Not(var[v, b])))
+    model = satisfiable(And(*clauses))
+    if not model:
+        return None
+    return tuple(next(y for y in palette if model[var[v, y]]) for v in range(g.n))
 
 
 def brute_force_chi_g(g: Graph, cap: int = 12) -> int | None:

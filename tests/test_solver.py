@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gracecolor import solver
 from gracecolor.ap3 import Ap3Engine, Ap3Result, SearchStats
 from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
 from gracecolor.checking import verify_graceful
@@ -36,7 +37,12 @@ from support import (
     all_graphs,
     brute_force_chi_g,
     canonical_form,
+    cnf_graceful_coloring,
+    graceful_valid_oracle,
+    grid,
+    hypercube,
     random_connected_graph,
+    reference_graceful_search,
 )
 
 
@@ -131,6 +137,45 @@ def test_decision_refutes_exactly_below_chi_g():
             assert solve_graceful_decision(g, k).status == expected, (g.edges, k)
 
 
+def test_decision_matches_reference_search():
+    """The propagation rule leaves open exactly the colors the definition
+    allows: status, witness and node count equal those of a search that
+    recomputes every domain from scratch at every node."""
+    rng = random.Random(8808)
+    for _ in range(36):
+        n = rng.randint(6, 9)
+        g = random_connected_graph(rng, n, density=0.6 if n < 8 else rng.choice((0.2, 0.35)))
+        for k in range(max(2, graceful_lower_bound(g)), chi_g(g).value + 1):
+            report = solve_graceful_decision(g, k)
+            colors, nodes = reference_graceful_search(g, k)
+            assert report.status == (SOLVED if colors else INFEASIBLE), (g.edges, k)
+            witness = report.witness.colors if report.witness else None
+            assert (witness, report.nodes) == (colors, nodes), (g.edges, k)
+
+
+@pytest.mark.parametrize("name,build,value", [
+    ("K3,3", lambda: complete_bipartite(3, 3), 6),
+    ("Q3", lambda: hypercube(3), 5),
+    ("grid3x3", lambda: grid(3, 3), 6),
+    ("tree10", lambda: random_tree(10, 3), 5),
+    ("gnp8", lambda: random_connected_graph(random.Random(8), 8, density=0.2), 7),
+])
+def test_refutation_below_chi_g_agrees_with_sat(name, build, value):
+    # past brute force's reach: a SAT solver on the definition's clauses
+    # must find no graceful coloring one color below the search's value
+    pytest.importorskip("sympy")
+    g = build()
+    assert chi_g(g).value == value
+    assert cnf_graceful_coloring(g, value - 1) is None
+
+
+def test_cnf_oracle_finds_graceful_coloring():
+    pytest.importorskip("sympy")
+    g = hypercube(3)
+    colors = cnf_graceful_coloring(g, 5)
+    assert colors is not None and graceful_valid_oracle(g, colors, 5)
+
+
 def test_trees_solved_within_node_cap():
     # a search that colors vertices in a fixed degree order spends this whole
     # cap refuting k = max degree + 1 on both trees
@@ -158,12 +203,23 @@ def test_chromatic_tree_solved_within_node_cap():
     (lambda: complete(6), 11, 4853),
     (lambda: random_tree(39, 39), 6, 585),
     (lambda: random_tree(40, 2), 5, 51),
+    (lambda: complete(7), 13, 35242),
+    (lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 5453),
 ])
 def test_chi_g_nodes_are_pinned(build, value, nodes):
     # node counts of the graceful kernel; a change to its order, propagation
-    # or symmetry break that moves them must update these pins
+    # or symmetry break that moves them must update these pins.  A change
+    # that only makes a node cheaper keeps them.
     report = chi_g(build())
     assert (report.status, report.value, report.nodes) == (SOLVED, value, nodes)
+
+
+def test_chi_g_checks_connectivity_once(monkeypatch):
+    calls = []
+    real = solver.is_connected
+    monkeypatch.setattr(solver, "is_connected", lambda g: calls.append(g) or real(g))
+    assert chi_g(cycle(5)).value == 5
+    assert len(calls) == 1
 
 
 def test_diameter_check_matches_diameter():
@@ -357,3 +413,9 @@ def test_result_fields():
     assert names(SearchStats) == ["nodes", "prunes_by_bound"]
     assert names(Ap3Result) == ["value", "witness", "stats", "proven"]
     assert names(SolveReport) == ["status", "value", "witness", "nodes"]
+
+
+def test_result_records_are_slotted():
+    stats = SearchStats()
+    for record in (stats, Ap3Result(0, (), stats, True), SolveReport(SOLVED, 2, (1,), 1)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
