@@ -47,7 +47,6 @@ from .solver import (
 )
 from .tables import (
     CacheFormatError,
-    KnownValue,
     ValueCache,
     known_chi_g_complete,
     load_cache,

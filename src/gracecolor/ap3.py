@@ -39,6 +39,22 @@ def is_ap3_free(elements: Sequence[int]) -> bool:
     return True
 
 
+def check_level(m: int, value: int, witness: Sequence[int],
+                prev: int | None = None) -> None:
+    """Raise ValueError unless (value, witness) is a valid record of L(m):
+    the witness is a strictly increasing, 3-AP-free subset of [1..m] with
+    `value` elements, and, when L(m-1) = prev is known, value is prev or
+    prev + 1.  The O(n) tests run before the O(n^2) progression test."""
+    if prev is not None and value not in (prev, prev + 1):
+        raise ValueError(f"L({m})={value} inconsistent with L({m-1})={prev}")
+    if len(witness) != value:
+        raise ValueError(f"witness size {len(witness)} != L({m})={value}")
+    if not witness or witness[0] < 1 or witness[-1] > m:
+        raise ValueError(f"witness for L({m})={value} does not fit [1..{m}]")
+    if not is_ap3_free(witness):  # raises first unless strictly increasing
+        raise ValueError(f"witness for L({m}) contains a 3-term progression")
+
+
 @dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
@@ -67,7 +83,7 @@ class Ap3Engine:
 
     All stored levels are exact.  An engine may be seeded from a persistent
     cache of previously proven values (see gracecolor.tables); seeded entries
-    are validated for witness correctness and unit steps, then trusted.
+    pass check_level, then are trusted.
     """
 
     def __init__(self):
@@ -94,20 +110,15 @@ class Ap3Engine:
         """Adopt proven (m -> (L, witness)) entries contiguous with the frontier.
 
         Entries beyond the first gap are ignored (bounds need every smaller
-        level).  Inconsistent entries raise ValueError.
+        level).  Each adopted entry must pass check_level against the level
+        below it; an inconsistent entry raises ValueError.
         """
         applied = 0
         m = self.frontier + 1
         while m in entries:
             value, witness = entries[m]
-            prev = self._lengths[m - 1]
-            if value not in (prev, prev + 1):
-                raise ValueError(f"L({m})={value} inconsistent with L({m-1})={prev}")
             witness = tuple(witness)
-            if len(witness) != value or not witness or witness[-1] > m or witness[0] < 1:
-                raise ValueError(f"witness for L({m})={value} does not fit [1..{m}]")
-            if not is_ap3_free(witness):
-                raise ValueError(f"witness for L({m}) contains a 3-term progression")
+            check_level(m, value, witness, self._lengths[m - 1])
             self._lengths.append(value)
             self._witnesses.append(witness)
             applied += 1

@@ -46,7 +46,7 @@ CACHE_ENV_VAR = "GRACECOLOR_CACHE"
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it acts on: all take --records, the
     # searching ones also a budget, and the ladder ones, which read and extend
-    # the L/a cache, also --cache.
+    # the cache of proven L levels, also --cache.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--records", action="store_true",
                         help="line-oriented machine-readable output")
@@ -107,6 +107,14 @@ def _read(path: str) -> str:
 
 def _budget(args: argparse.Namespace) -> SolveBudget:
     return SolveBudget(args.max_nodes, args.max_seconds)
+
+
+def _write(out: TextIO, text: str) -> None:
+    """Write text in 64 KiB pieces.  One large write whose reader closes the
+    pipe midway can be cut short without an error; a piece raises
+    BrokenPipeError."""
+    for start in range(0, len(text), 1 << 16):
+        out.write(text[start:start + (1 << 16)])
 
 
 def _csv(values: Sequence[int]) -> str:
@@ -217,7 +225,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         engine, cache = _load_cache_engine(args)
         rows = tables.table_report(args.n_max, _budget(args), engine)
         _store_cache(args, engine, cache)
-        out.write(tables.render_table(rows, records=args.records))
+        _write(out, tables.render_table(rows, records=args.records))
         statuses = {row.status for row in rows}
         if tables.STATUS_MISMATCH in statuses:
             print("reference mismatch detected", file=err)
@@ -228,7 +236,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     if args.command == "gen":
         family = GraphFamily(args.family, tuple(args.params))
-        out.write(serialize_graph(family.build()))
+        _write(out, serialize_graph(family.build()))
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command!r}")

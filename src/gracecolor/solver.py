@@ -369,9 +369,9 @@ def characterize(g: Graph, budget: SolveBudget | None = None) -> Characterizatio
     """Both chromatic numbers plus the two characterization predicates.
 
     The two searches share the budget.  Raises BudgetExhausted when it runs
-    out before both are exact.
+    out before both are exact, and ValueError, from chromatic_number before
+    its first node, unless g is connected.
     """
-    _require_connected(g)
     meter = BudgetMeter(budget)
     chi_report = chromatic_number(g, meter=meter)
     if chi_report.status != SOLVED:

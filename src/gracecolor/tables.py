@@ -5,30 +5,28 @@ graphs on 2..32 vertices together with witness color sets.  The witnesses
 are embedded verbatim as fixture data so that transcription slips are caught
 by the internal-consistency test instead of being trusted silently.
 
-The value cache persists proven results between runs.  File format, bit
-exact: UTF-8 with LF endings, one record per line,
+The value cache persists the proven ladder between runs: m -> (L(m),
+witness), where L(m) is the size of the largest 3-AP-free subset of [1..m].
+It holds every a(n) as well, since a(n) = min{m : L(m) >= n}.  File format,
+bit exact: UTF-8 with LF endings, one record per line,
 
-    <kind> <index> <value> <witness>
+    L <m> <L(m)> <witness>
 
-where kind is "L" (largest 3-AP-free subset of [1..index] has `value`
-elements) or "A" (an index-element 3-AP-free set fits in [1..value] and no
-smaller span); witness is comma-separated ascending integers with no spaces.
-Lines are sorted by (kind, index); '#' starts a comment line.  Only proven
-values are ever written.
+where witness is comma-separated ascending integers with no spaces.  Lines
+are sorted by m; '#' starts a comment line.  Only proven values are ever
+written.  Files written before the cache held only levels also contain
+"A <n> <a(n)> <witness>" records; the loader skips them and the next store
+drops them.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
-from .ap3 import Ap3Engine, is_ap3_free
+from .ap3 import Ap3Engine, check_level
 from .budget import BudgetMeter, SolveBudget
-
-KIND_LONGEST = "L"
-KIND_SPAN = "A"
 
 # Reference results: n -> (chi_g of the complete graph on n vertices, witness).
 CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
@@ -83,14 +81,12 @@ CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
 LONGEST_REFERENCE: dict[int, int] = {122: 32}
 
 
-# What the reference table fixes: a(n) for n = 1..32, and L(m) = #{n : a(n) <= m}
-# = max{n : a(n) <= m} for m = 0..122 (a is strictly increasing and a(32) =
-# 122, so a(33) > 122).  Cache records must agree with both.
-_FIXED_SPANS: dict[int, int] = {
-    1: 1, **{n: value for n, (value, _) in CHI_G_COMPLETE_REFERENCE.items()}}
+# L(m) = #{n : a(n) <= m} for m = 0..122, as the reference table fixes it
+# ((m >= 1) counts a(1) = 1; a is strictly increasing and a(32) = 122, so
+# a(33) > 122).  Cache records must agree with it.
 _FIXED_LENGTHS: tuple[int, ...] = tuple(
-    sum(1 for span in _FIXED_SPANS.values() if span <= m)
-    for m in range(max(_FIXED_SPANS.values()) + 1))
+    (m >= 1) + sum(span <= m for span, _ in CHI_G_COMPLETE_REFERENCE.values())
+    for m in range(max(span for span, _ in CHI_G_COMPLETE_REFERENCE.values()) + 1))
 
 
 def known_chi_g_complete(n: int) -> int | None:
@@ -109,107 +105,41 @@ class CacheFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class KnownValue:
-    kind: str
-    index: int
-    value: int
-    witness: tuple[int, ...]
-
-
-def _validate(entry: KnownValue) -> None:
-    if entry.kind not in (KIND_LONGEST, KIND_SPAN):
-        raise ValueError(f"unknown kind {entry.kind!r}")
-    if entry.index < 1 or entry.value < 1:
-        raise ValueError("index and value must be positive")
-    w = entry.witness
-    if not w:
-        raise ValueError("witness required")
-    if any(b <= a for a, b in zip(w, w[1:])):
-        raise ValueError("witness must be strictly increasing")
-    if not is_ap3_free(w):
-        raise ValueError("witness contains a 3-term progression")
-    if entry.kind == KIND_LONGEST:
-        if len(w) != entry.value:
-            raise ValueError(f"witness size {len(w)} != value {entry.value}")
-        if w[0] < 1 or w[-1] > entry.index:
-            raise ValueError(f"witness not within [1..{entry.index}]")
-        known = _FIXED_LENGTHS[entry.index] if entry.index < len(_FIXED_LENGTHS) else None
-    else:
-        if len(w) != entry.index:
-            raise ValueError(f"witness size {len(w)} != index {entry.index}")
-        if w[0] != 1 or w[-1] != entry.value:
-            raise ValueError(f"witness must span [1..{entry.value}] exactly")
-        known = _FIXED_SPANS.get(entry.index)
-    if known is not None and entry.value != known:
-        raise ValueError(f"{entry.kind} {entry.index} {entry.value} contradicts the "
-                         f"reference table, which gives {known}")
-
-
+@dataclass
 class ValueCache:
-    """In-memory map of proven values, loadable from and storable to disk."""
+    """Proven ladder levels, m -> (L(m), witness), loadable from and storable
+    to disk."""
 
-    def __init__(self, entries: Iterable[KnownValue] = ()):
-        self._entries: dict[tuple[str, int], KnownValue] = {}
-        for entry in entries:
-            self.put(entry)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValueCache):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def get(self, kind: str, index: int) -> KnownValue | None:
-        return self._entries.get((kind, index))
-
-    def put(self, entry: KnownValue) -> None:
-        _validate(entry)
-        self._entries[(entry.kind, entry.index)] = entry
-
-    def entries(self) -> list[KnownValue]:
-        """All entries sorted by (kind, index)."""
-        return [self._entries[key] for key in sorted(self._entries)]
-
-    # -- engine integration ---------------------------------------------------
+    levels: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
 
     def seed_engine(self, engine: Ap3Engine) -> int:
-        """Feed contiguous proven L levels into an engine; returns levels applied.
+        """Feed contiguous proven levels into an engine; returns levels applied.
 
         An inconsistent level, such as a step other than 0 or 1, raises
         CacheFormatError."""
-        levels = {
-            entry.index: (entry.value, entry.witness)
-            for entry in self._entries.values()
-            if entry.kind == KIND_LONGEST
-        }
         try:
-            return engine.seed(levels)
+            return engine.seed(self.levels)
         except ValueError as exc:
             raise CacheFormatError(f"inconsistent L records: {exc}") from None
 
     def absorb_engine(self, engine: Ap3Engine) -> None:
-        """Record every proven level of an engine, plus the span record for
-        each size first attained."""
-        reached = 0
-        for m, value, witness in engine.proven_levels():
-            self.put(KnownValue(KIND_LONGEST, m, value, witness))
-            if value > reached:
-                reached = value
-                self.put(KnownValue(KIND_SPAN, value, m, witness))
+        """Record every proven level of an engine.  They are not checked again:
+        the engine proved them or seed checked them."""
+        self.levels.update((m, (value, witness))
+                           for m, value, witness in engine.proven_levels())
 
 
 def load_cache(path: str) -> ValueCache:
-    """Read a cache file; malformed lines are rejected with their line number."""
-    cache = ValueCache()
+    """Read a cache file; a malformed or invalid record is rejected with its
+    line number.  Each L record must pass ap3.check_level, against the record
+    of m-1 when the file has one, and agree with the reference table."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         # the decoder's message does not say which file it was reading
         raise CacheFormatError(f"{path}: {exc}") from None
+    records: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # m -> (line, L, witness)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -217,27 +147,35 @@ def load_cache(path: str) -> ValueCache:
         parts = line.split(" ")
         if len(parts) != 4:
             raise CacheFormatError(f"expected 4 fields, got {len(parts)}", lineno)
-        kind, index_s, value_s, witness_s = parts
+        kind, m_s, value_s, witness_s = parts
         try:
-            index, value = int(index_s), int(value_s)
+            m, value = int(m_s), int(value_s)
             witness = tuple(int(tok) for tok in witness_s.split(","))
         except ValueError:
             raise CacheFormatError(f"bad integer field in {line!r}", lineno) from None
-        if cache.get(kind, index) is not None:
-            raise CacheFormatError(f"duplicate record {kind} {index}", lineno)
+        if kind == "A":  # a(n) record of an older file: derivable from L, not trusted
+            continue
+        if kind != "L":
+            raise CacheFormatError(f"unknown kind {kind!r}", lineno)
+        if m in records:
+            raise CacheFormatError(f"duplicate record L {m}", lineno)
+        records[m] = (lineno, value, witness)
+    for m, (lineno, value, witness) in records.items():
+        prev = records[m - 1][1] if m - 1 in records else None
         try:
-            cache.put(KnownValue(kind, index, value, witness))
+            check_level(m, value, witness, prev)
+            if m < len(_FIXED_LENGTHS) and value != _FIXED_LENGTHS[m]:
+                raise ValueError(f"L {m} {value} contradicts the reference table, "
+                                 f"which gives {_FIXED_LENGTHS[m]}")
         except ValueError as exc:
             raise CacheFormatError(str(exc), lineno) from None
-    return cache
+    return ValueCache({m: (value, witness) for m, (_, value, witness) in records.items()})
 
 
 def store_cache(cache: ValueCache, path: str) -> None:
-    """Write the cache sorted by (kind, index); atomic via temp file + rename."""
-    lines = [
-        f"{e.kind} {e.index} {e.value} {','.join(map(str, e.witness))}\n"
-        for e in cache.entries()
-    ]
+    """Write the cache sorted by m; atomic via temp file + rename."""
+    lines = [f"L {m} {value} {','.join(map(str, witness))}\n"
+             for m, (value, witness) in sorted(cache.levels.items())]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", text=True)
     try:

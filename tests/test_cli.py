@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gracecolor import ap3
 from gracecolor.cli import run
 from gracecolor.graphs import parse_graph, serialize_graph, wheel
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
@@ -95,6 +96,15 @@ def test_characterize(p3_file):
     assert out == "chi = 2\nchi_g = 3\nequal = false\nchi_g_is_3 = true\n"
     code, out, _ = invoke("characterize", p3_file, "--records")
     assert out == "2 3 0 1\n"
+
+
+def test_disconnected_graph_is_usage_error(tmp_path):
+    graph = tmp_path / "two-edges.txt"
+    graph.write_text("4 2\n0 1\n2 3\n")
+    for command in ("solve", "characterize"):
+        code, out, err = invoke(command, str(graph))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "connected" in err, command
 
 
 def test_complete_output_format():
@@ -228,25 +238,28 @@ def test_module_entry_point():
     assert done.stdout == "chi_g(K_5) = 9\nwitness: 1,2,4,8,9\n"
 
 
-def test_closed_stdout_exits_4_quietly():
-    """A reader that closes stdout early gets exit code 4 and no message.
+def _close_at_once(pipe):
+    pipe.close()
 
-    The pipe's read end is closed before the command writes: CPython drops
-    the rest of a single write that its reader abandons midway without an
-    error, so a reader that takes one line first would not see the close.
-    """
+
+def _close_after_a_line(pipe):
+    pipe.readline()
+    pipe.close()
+
+
+@pytest.mark.parametrize("reader", [_close_at_once, _close_after_a_line])
+def test_closed_stdout_exits_4_quietly(reader):
+    """A reader that closes stdout early gets exit code 4 and no message,
+    whether it closes before the command writes or in the middle of it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-m", "gracecolor", "gen", "path", "20000"],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True,
-                              env=env, timeout=60)
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (4, "")
+    with subprocess.Popen([sys.executable, "-m", "gracecolor", "gen", "path", "200000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        reader(proc.stdout)
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (4, "")
 
 
 def test_byte_identical_output(k4_file):
@@ -267,12 +280,62 @@ def test_cache_written_and_reused(tmp_path):
     code, out, _ = invoke("complete", "8", "--cache", str(cache))
     assert code == 0
     content = cache.read_text()
-    assert "A 8 14" in content
-    assert "L 14 8" in content
+    assert "L 13 7 " in content  # a(8) = 14 = min{m : L(m) >= 8}
+    assert "L 14 8 " in content
     # second run must produce identical output from the seeded cache
     code2, out2, _ = invoke("complete", "8", "--cache", str(cache))
     assert (code2, out2) == (code, out)
     assert cache.read_text() == content
+
+
+# `complete 8 --cache` as written before the cache held only L records: each
+# A n a(n) record repeats the L record at m = a(n).
+CACHE_WITH_SPAN_RECORDS = """\
+A 1 1 1
+A 2 2 1,2
+A 3 4 1,2,4
+A 4 5 1,2,4,5
+A 5 9 1,2,4,8,9
+A 6 11 1,2,4,5,10,11
+A 7 13 1,2,4,5,10,11,13
+A 8 14 1,2,4,5,10,11,13,14
+L 1 1 1
+L 2 2 1,2
+L 3 2 1,2
+L 4 3 1,2,4
+L 5 4 1,2,4,5
+L 6 4 1,2,4,5
+L 7 4 1,2,4,5
+L 8 4 1,2,4,5
+L 9 5 1,2,4,8,9
+L 10 5 1,2,4,8,9
+L 11 6 1,2,4,5,10,11
+L 12 6 1,2,4,5,10,11
+L 13 7 1,2,4,5,10,11,13
+L 14 8 1,2,4,5,10,11,13,14
+"""
+
+
+def test_cache_with_span_records_is_read_and_stored_without_them(tmp_path):
+    cache = tmp_path / "cache.txt"
+    levels = "".join(line for line in CACHE_WITH_SPAN_RECORDS.splitlines(keepends=True)
+                     if line.startswith("L "))
+    for argv in (("complete", "8"), ("ap3", "minspan", "10")):
+        cache.write_text(CACHE_WITH_SPAN_RECORDS)
+        assert invoke(*argv, "--cache", str(cache)) == invoke(*argv), argv
+        stored = cache.read_text()
+        assert stored.startswith(levels) and "A " not in stored, argv
+    assert stored.splitlines()[-1] == "L 24 10 1,2,5,7,11,16,18,19,23,24"
+
+
+def test_cached_levels_are_checked_once_at_load_and_once_at_seed(tmp_path, monkeypatch):
+    cache = tmp_path / "cache.txt"
+    assert invoke("ap3", "longest", "40", "--cache", str(cache))[0] == 0
+    calls = []
+    real = ap3.is_ap3_free
+    monkeypatch.setattr(ap3, "is_ap3_free", lambda w: calls.append(w) or real(w))
+    assert invoke("ap3", "longest", "30", "--cache", str(cache))[0] == 0
+    assert len(calls) == 2 * 40
 
 
 def test_cache_env_var_default(tmp_path, monkeypatch):
@@ -315,7 +378,7 @@ def test_cache_inconsistent_beyond_reference_is_io_error(tmp_path):
     cache.write_text("".join(lines))
     code, out, err = invoke("ap3", "longest", "5", "--cache", str(cache))
     assert (code, out) == (4, "")
-    assert "L(123)" in err
+    assert "line 123" in err and "L(123)" in err
 
 
 def test_verify_malformed_coloring_is_parse_error(tmp_path, p3_file):

@@ -214,12 +214,15 @@ def test_chi_g_nodes_are_pinned(build, value, nodes):
     assert (report.status, report.value, report.nodes) == (SOLVED, value, nodes)
 
 
-def test_chi_g_checks_connectivity_once(monkeypatch):
+@pytest.mark.parametrize("compute,checks", [(chi_g, 1), (characterize, 2)],
+                         ids=["chi_g", "characterize"])
+def test_chi_g_checks_connectivity_once(monkeypatch, compute, checks):
+    # characterize runs two searches, and each checks once before its first node
     calls = []
     real = solver.is_connected
     monkeypatch.setattr(solver, "is_connected", lambda g: calls.append(g) or real(g))
-    assert chi_g(cycle(5)).value == 5
-    assert len(calls) == 1
+    compute(cycle(5))
+    assert len(calls) == checks
 
 
 def test_diameter_check_matches_diameter():
@@ -386,6 +389,11 @@ def test_characterize_examples():
     assert (p3.chi, p3.chi_g, p3.equal, p3.chi_g_is_3) == (2, 3, False, True)
     c4 = characterize(cycle(4))
     assert (c4.chi, c4.chi_g, c4.equal, c4.chi_g_is_3) == (2, 4, False, False)
+
+
+def test_characterize_rejects_disconnected():
+    with pytest.raises(ValueError, match="connected"):
+        characterize(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_characterize_budget_exhaustion_raises():

@@ -4,14 +4,12 @@ import random
 
 import pytest
 
-from gracecolor.ap3 import Ap3Engine, is_ap3_free
+from gracecolor import ap3
+from gracecolor.ap3 import Ap3Engine, check_level, is_ap3_free
 from gracecolor.budget import SolveBudget
 from gracecolor.tables import (
     CHI_G_COMPLETE_REFERENCE,
-    KIND_LONGEST,
-    KIND_SPAN,
     CacheFormatError,
-    KnownValue,
     ValueCache,
     known_chi_g_complete,
     load_cache,
@@ -39,49 +37,62 @@ def test_reference_table_internal_consistency():
         assert is_ap3_free(witness)
 
 
-def test_cache_put_get_and_entries_sorted():
+def test_cache_is_the_map_of_proven_levels():
+    engine = Ap3Engine()
+    engine.longest(9)
     cache = ValueCache()
-    cache.put(KnownValue(KIND_LONGEST, 5, 4, (1, 2, 4, 5)))
-    cache.put(KnownValue(KIND_SPAN, 4, 5, (1, 2, 4, 5)))
-    cache.put(KnownValue(KIND_LONGEST, 2, 2, (1, 2)))
-    assert cache.get(KIND_LONGEST, 5).value == 4
-    assert cache.get(KIND_LONGEST, 9) is None
-    kinds_and_indexes = [(e.kind, e.index) for e in cache.entries()]
-    assert kinds_and_indexes == [("A", 4), ("L", 2), ("L", 5)]
+    cache.absorb_engine(engine)
+    assert cache.levels[5] == (4, (1, 2, 4, 5))
+    assert cache.levels[9] == (5, (1, 2, 4, 8, 9))
+    assert sorted(cache.levels) == list(range(1, 10))
+    assert cache == ValueCache(dict(reversed(cache.levels.items())))
+    assert cache != ValueCache()
 
 
 def test_cache_validates_entries():
-    cache = ValueCache()
     with pytest.raises(ValueError, match="size"):
-        cache.put(KnownValue(KIND_LONGEST, 5, 9, (1, 2, 4, 5)))
+        check_level(5, 9, (1, 2, 4, 5))
     with pytest.raises(ValueError, match="progression"):
-        cache.put(KnownValue(KIND_LONGEST, 6, 3, (2, 4, 6)))
-    with pytest.raises(ValueError, match="within"):
-        cache.put(KnownValue(KIND_LONGEST, 4, 3, (1, 2, 5)))
-    with pytest.raises(ValueError, match="span"):
-        cache.put(KnownValue(KIND_SPAN, 3, 5, (1, 2, 4)))
-    with pytest.raises(ValueError, match="kind"):
-        cache.put(KnownValue("X", 4, 3, (1, 2, 4)))
+        check_level(6, 3, (2, 4, 6))
+    with pytest.raises(ValueError, match="fit"):
+        check_level(4, 3, (1, 2, 5))
+    with pytest.raises(ValueError, match="increasing"):
+        check_level(5, 2, (5, 2))
+    with pytest.raises(ValueError, match="inconsistent"):
+        check_level(5, 4, (1, 2, 4, 5), prev=2)
+    check_level(5, 4, (1, 2, 4, 5), prev=3)
+    check_level(5, 4, (1, 2, 4, 5), prev=4)
 
 
-def test_cache_rejects_values_contradicting_the_reference():
-    cache = ValueCache()
-    with pytest.raises(ValueError, match="reference"):
-        cache.put(KnownValue(KIND_LONGEST, 5, 3, (1, 2, 4)))  # L(5) = 4
-    with pytest.raises(ValueError, match="reference"):
-        cache.put(KnownValue(KIND_LONGEST, 122, 31, CHI_G_COMPLETE_REFERENCE[31][1]))
-    with pytest.raises(ValueError, match="reference"):
-        cache.put(KnownValue(KIND_SPAN, 5, 10, (1, 2, 4, 8, 10)))  # a(5) = 9
-    cache.put(KnownValue(KIND_LONGEST, 1, 1, (1,)))
-    cache.put(KnownValue(KIND_SPAN, 1, 1, (1,)))
+def test_level_check_tests_size_and_range_before_progressions(tmp_path, monkeypatch):
+    calls = []
+    real = ap3.is_ap3_free
+    monkeypatch.setattr(ap3, "is_ap3_free", lambda w: calls.append(w) or real(w))
+    path = tmp_path / "cache.txt"
+    for text, match in (("L 5 3 1,2,4,5\n", "size"), ("L 5 4 1,2,4,6\n", "fit"),
+                        ("L 5 4 0,1,3,4\n", "fit")):
+        path.write_text(text)
+        with pytest.raises(CacheFormatError, match=match):
+            load_cache(str(path))
+    assert calls == []
+
+
+def test_cache_rejects_values_contradicting_the_reference(tmp_path):
+    path = tmp_path / "cache.txt"
+    w31, w32 = (",".join(map(str, CHI_G_COMPLETE_REFERENCE[n][1])) for n in (31, 32))
+    for text in ("L 5 3 1,2,4\n",  # L(5) = 4
+                 f"L 122 31 {w31}\n"):
+        path.write_text(text)
+        with pytest.raises(CacheFormatError, match="reference"):
+            load_cache(str(path))
     # beyond the table nothing is known, so only the witness is checked
-    cache.put(KnownValue(KIND_LONGEST, 123, 32, CHI_G_COMPLETE_REFERENCE[32][1]))
-    assert len(cache) == 3
+    path.write_text(f"L 1 1 1\nL 123 32 {w32}\n")
+    assert sorted(load_cache(str(path)).levels) == [1, 123]
 
 
 def test_load_names_the_line_contradicting_the_reference(tmp_path):
     path = tmp_path / "cache.txt"
-    path.write_text("A 4 5 1,2,4,5\n# note\nA 5 10 1,2,4,8,10\n")
+    path.write_text("L 4 3 1,2,4\n# note\nL 5 3 1,2,4\n")
     with pytest.raises(CacheFormatError, match="line 3"):
         load_cache(str(path))
 
@@ -89,16 +100,13 @@ def test_load_names_the_line_contradicting_the_reference(tmp_path):
 def test_load_empty_file(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("")
-    assert len(load_cache(str(path))) == 0
+    assert load_cache(str(path)) == ValueCache()
 
 
 def test_load_single_record(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("L 5 4 1,2,4,5\n")
-    cache = load_cache(str(path))
-    entry = cache.get(KIND_LONGEST, 5)
-    assert entry.value == 4
-    assert entry.witness == (1, 2, 4, 5)
+    assert load_cache(str(path)).levels == {5: (4, (1, 2, 4, 5))}
 
 
 def test_load_rejects_witness_size_mismatch(tmp_path):
@@ -114,7 +122,7 @@ def test_load_rejects_malformed_lines(tmp_path):
         ("L five 4 1,2,4,5\n", "integer"),
         ("B 5 4 1,2,4,5\n", "kind"),
         ("L 5 4 1,2,4,5\nL 5 4 1,2,4,5\n", "duplicate"),
-        ("# ok\nL 5 4 5,2\n", "increasing"),
+        ("# ok\nL 5 2 5,2\n", "increasing"),
     ]
     for text, match in cases:
         path = tmp_path / "bad.txt"
@@ -126,7 +134,28 @@ def test_load_rejects_malformed_lines(tmp_path):
 def test_load_accepts_comments_and_blanks(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("# proven values\n\nA 4 5 1,2,4,5\nL 5 4 1,2,4,5\n")
-    assert len(load_cache(str(path))) == 2
+    assert load_cache(str(path)).levels == {5: (4, (1, 2, 4, 5))}
+
+
+def test_load_skips_span_records_but_checks_their_fields(tmp_path):
+    # "A n a(n) witness" records of older files are neither trusted nor kept
+    path = tmp_path / "cache.txt"
+    path.write_text("A 4 5 1,2,4,5\nA 5 10 1,2,4,8,10\nA 3 9 9,9\nL 2 2 1,2\n")
+    assert load_cache(str(path)).levels == {2: (2, (1, 2))}
+    for text, match in (("L 2 2 1,2\nA 4 5\n", "line 2: expected 4 fields"),
+                        ("A 4 five 1,2,4,5\n", "line 1: bad integer")):
+        path.write_text(text)
+        with pytest.raises(CacheFormatError, match=match):
+            load_cache(str(path))
+
+
+def test_load_names_the_line_of_a_step_fault_in_any_order(tmp_path):
+    path = tmp_path / "cache.txt"
+    for text, line in (("L 4 3 1,2,4\nL 5 2 1,2\n", "line 2"),
+                       ("L 5 2 1,2\nL 4 3 1,2,4\n", "line 1")):
+        path.write_text(text)
+        with pytest.raises(CacheFormatError, match=f"{line}: L\\(5\\)=2 inconsistent"):
+            load_cache(str(path))
 
 
 def test_round_trip_randomized(tmp_path):
@@ -146,13 +175,10 @@ def test_round_trip_randomized(tmp_path):
 
 
 def test_store_is_sorted_and_lf(tmp_path):
-    cache = ValueCache()
-    cache.put(KnownValue(KIND_LONGEST, 5, 4, (1, 2, 4, 5)))
-    cache.put(KnownValue(KIND_SPAN, 2, 2, (1, 2)))
-    cache.put(KnownValue(KIND_LONGEST, 2, 2, (1, 2)))
+    cache = ValueCache({5: (4, (1, 2, 4, 5)), 2: (2, (1, 2))})
     path = tmp_path / "cache.txt"
     store_cache(cache, str(path))
-    assert path.read_text() == "A 2 2 1,2\nL 2 2 1,2\nL 5 4 1,2,4,5\n"
+    assert path.read_text() == "L 2 2 1,2\nL 5 4 1,2,4,5\n"
 
 
 def test_seed_engine_round_trip(tmp_path):
