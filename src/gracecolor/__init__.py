@@ -6,7 +6,7 @@ equivalence with minimal-span 3-AP-free integer sets.
 """
 
 from .ap3 import Ap3Engine, Ap3Result, SearchStats, is_ap3_free
-from .budget import BudgetExhausted, BudgetMeter, SolveBudget
+from .budget import BudgetExhausted, SolveBudget
 from .checking import (
     ColoringFormatError,
     GracefulColoring,

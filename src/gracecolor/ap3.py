@@ -127,32 +127,31 @@ class Ap3Engine:
 
     # -- queries ------------------------------------------------------------
 
-    def longest(self, m: int, budget: SolveBudget | None = None,
-                meter: BudgetMeter | None = None) -> Ap3Result:
+    def longest(self, m: int, budget: SolveBudget | None = None) -> Ap3Result:
         """L(m) with an attaining witness; exact unless the budget runs out."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        stats, proven = self._climb(lambda: self.frontier < m, budget, meter)
+        stats, proven = self._climb(lambda: self.frontier < m, budget)
         level = min(m, self.frontier)
         return Ap3Result(self._lengths[level], self._witnesses[level], stats, proven)
 
-    def min_span(self, k: int, budget: SolveBudget | None = None,
-                 meter: BudgetMeter | None = None) -> Ap3Result:
+    def min_span(self, k: int, budget: SolveBudget | None = None) -> Ap3Result:
         """Least m with L(m) >= k, plus a k-element witness spanning exactly [1..m]."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        stats, proven = self._climb(lambda: self._lengths[-1] < k, budget, meter)
+        stats, proven = self._climb(lambda: self._lengths[-1] < k, budget)
         if not proven:
             return Ap3Result(self.frontier, (), stats, False)
         m = bisect_left(self._lengths, k)
         return Ap3Result(m, self._witnesses[m], stats, True)
 
-    def _climb(self, unfinished: Callable[[], bool], budget: SolveBudget | None,
-               meter: BudgetMeter | None) -> tuple[SearchStats, bool]:
+    def _climb(self, unfinished: Callable[[], bool],
+               budget: SolveBudget | None) -> tuple[SearchStats, bool]:
         """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
-        attainable, else L(m-1).  Returns the stats and whether the climb
-        finished before the budget ran out."""
-        meter = meter or BudgetMeter(budget)
+        attainable, else L(m-1).  Every level draws on one meter, so
+        stats.nodes is that meter's count.  Returns the stats and whether the
+        climb finished before the budget ran out."""
+        meter = BudgetMeter(budget)
         stats = SearchStats()
         try:
             while unfinished():

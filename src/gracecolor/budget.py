@@ -28,18 +28,17 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds < 0:
-            raise ValueError("max_seconds must not be negative")
-
-
-UNLIMITED = SolveBudget()
+        # written so that NaN, which compares False with everything, fails too
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError("max_seconds must be a number >= 0")
 
 
 class BudgetMeter:
-    """Mutable node counter plus deadline for one logical solve.
+    """Mutable node counter plus deadline for one public search call.
 
-    A single meter may span several searches (iterative deepening, or both
-    searches of a characterization, share one budget).  A kernel counts its
+    A meter may span several kernel runs of that call (the levels of a
+    deepening run or of a ladder climb, or both searches of a
+    characterization), which then share one budget.  A kernel counts its
     nodes in a local, starts with stop = 0, and before counting each node
     compares the count with stop once:
 
@@ -50,18 +49,14 @@ class BudgetMeter:
     It calls spend() with its total when it returns or raises.
     """
 
-    __slots__ = ("budget", "nodes", "deadline", "_cap")
+    __slots__ = ("nodes", "deadline", "_cap")
 
     def __init__(self, budget: SolveBudget | None):
-        self.budget = budget or UNLIMITED
+        budget = budget or SolveBudget()
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + self.budget.max_seconds
-            if self.budget.max_seconds is not None
-            else None
-        )
-        max_nodes = self.budget.max_nodes
-        self._cap = _UNCAPPED if max_nodes is None else max_nodes
+        self.deadline = (None if budget.max_seconds is None
+                         else time.monotonic() + budget.max_seconds)
+        self._cap = _UNCAPPED if budget.max_nodes is None else budget.max_nodes
 
     def next_stop(self, counted: int) -> int:
         """Check a kernel that has counted `counted` nodes not yet spent.

@@ -100,11 +100,14 @@ def verify_graceful(g: Graph, coloring: GracefulColoring) -> VerificationReport:
     Scan order is fixed so failures are reproducible: color range by vertex,
     then equal endpoints by edge, then incident-difference clashes by vertex
     and ascending neighbor pair.  An edge with equal endpoint colors is
-    always reported as adjacent-equal, never as a zero edge color.
+    always reported as adjacent-equal, never as a zero edge color.  A
+    coloring whose length differs from the vertex count raises
+    ColoringFormatError: the two documents disagree.
     """
     colors = coloring.colors
     if len(colors) != g.n:
-        raise ValueError(f"coloring has {len(colors)} entries for a graph on {g.n} vertices")
+        raise ColoringFormatError(
+            f"coloring has {len(colors)} entries for a graph on {g.n} vertices")
     for v in range(g.n):
         if not (1 <= colors[v] <= coloring.palette):
             return VerificationReport(False, Violation(COLOR_OUT_OF_RANGE, (v,)))

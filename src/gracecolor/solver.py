@@ -51,10 +51,11 @@ at most u+1.  By induction the search reaches psi unless it returns another
 coloring first.  On a connected bipartite graph at k = 2 every vertex after
 the first has one color left when it is picked, so nothing backtracks.
 
-Every search runs sequentially in the calling process.  All levels of a
-deepening run, and both searches of characterize(), draw on one BudgetMeter,
-so a node limit bounds the work actually done and a reported node count is
-that work.
+Every search runs sequentially in the calling process.  Each public call
+makes one BudgetMeter from its budget, and every level of its deepening run
+draws on it, so a node limit bounds the work actually done and a reported
+node count is that work.  Only characterize() runs two searches, and they
+share its one meter.
 """
 
 from __future__ import annotations
@@ -280,24 +281,28 @@ def solve_graceful_decision(g: Graph, k: int,
     return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes)
 
 
-def chi_g(g: Graph, budget: SolveBudget | None = None,
-          meter: BudgetMeter | None = None) -> SolveReport:
+def _chi_g(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
+    """Least k with a graceful k-coloring, and its colors; raises
+    BudgetExhausted when the meter runs out first."""
+    k = max(2, graceful_lower_bound(g))  # raises unless g is connected
+    while (witness := _decide(g, k, meter)) is None:
+        k += 1
+    return k, witness
+
+
+def chi_g(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
     """Exact graceful chromatic number by iterative deepening on k.
 
-    The budget spans the whole deepening run; a given meter (which overrides
-    budget) may be shared with other searches, and the report counts only
-    the nodes of this run.  Running out of budget at any level makes the
-    whole computation budget-exhausted; no unproven minimum is ever reported.
+    The budget spans the whole deepening run, on one meter made for this
+    call.  Running out of budget at any level makes the whole computation
+    budget-exhausted; no unproven minimum is ever reported.
     """
-    meter = meter or BudgetMeter(budget)
-    before = meter.nodes
-    k = max(2, graceful_lower_bound(g))  # raises unless g is connected
+    meter = BudgetMeter(budget)
     try:
-        while (witness := _decide(g, k, meter)) is None:
-            k += 1
+        k, witness = _chi_g(g, meter)
     except BudgetExhausted:
-        return SolveReport(EXHAUSTED, None, None, meter.nodes - before)
-    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes - before)
+        return SolveReport(EXHAUSTED, None, None, meter.nodes)
+    return SolveReport(SOLVED, k, GracefulColoring(witness, k), meter.nodes)
 
 
 # -- plain chromatic number ---------------------------------------------------
@@ -342,46 +347,46 @@ def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     return _search(g, k, 0b10, propagate, meter)  # color 1 first
 
 
-def chromatic_number(g: Graph, budget: SolveBudget | None = None,
-                     meter: BudgetMeter | None = None) -> SolveReport:
-    """Exact chromatic number: greedy clique lower bound, greedy coloring
-    upper bound, backtracking decisions in between.  budget and meter work
-    as in chi_g."""
+def _chromatic(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
+    """Chromatic number and a coloring attaining it; raises BudgetExhausted
+    when the meter runs out first."""
     _require_connected(g)
-    meter = meter or BudgetMeter(budget)
-    before = meter.nodes
     lower = len(_greedy_clique(g))
     greedy = _greedy_coloring(g)
     upper = max(greedy)
-    value, witness = upper, greedy
     for k in range(lower, upper):
-        try:
-            found = _chi_decide(g, k, meter)
-        except BudgetExhausted:
-            return SolveReport(EXHAUSTED, None, None, meter.nodes - before)
+        found = _chi_decide(g, k, meter)
         if found is not None:
-            value, witness = k, found
-            break
-    return SolveReport(SOLVED, value, witness, meter.nodes - before)
+            return k, found
+    return upper, greedy
+
+
+def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
+    """Exact chromatic number: greedy clique lower bound, greedy coloring
+    upper bound, backtracking decisions in between, all on one meter made
+    for this call."""
+    meter = BudgetMeter(budget)
+    try:
+        value, witness = _chromatic(g, meter)
+    except BudgetExhausted:
+        return SolveReport(EXHAUSTED, None, None, meter.nodes)
+    return SolveReport(SOLVED, value, witness, meter.nodes)
 
 
 def characterize(g: Graph, budget: SolveBudget | None = None) -> Characterization:
     """Both chromatic numbers plus the two characterization predicates.
 
-    The two searches share the budget.  Raises BudgetExhausted when it runs
-    out before both are exact, and ValueError, from chromatic_number before
-    its first node, unless g is connected.
+    The two searches share one meter, so the budget bounds them together.
+    Raises BudgetExhausted when it runs out before both are exact, and
+    ValueError, before the first node, unless g is connected.
     """
     meter = BudgetMeter(budget)
-    chi_report = chromatic_number(g, meter=meter)
-    if chi_report.status != SOLVED:
-        raise BudgetExhausted("chromatic number computation ran out of budget")
-    graceful_report = chi_g(g, meter=meter)
-    if graceful_report.status != SOLVED:
-        raise BudgetExhausted("graceful chromatic number computation ran out of budget")
-    return Characterization(
-        chi=chi_report.value,
-        chi_g=graceful_report.value,
-        equal=chi_report.value == graceful_report.value,
-        chi_g_is_3=graceful_report.value == 3,
-    )
+    search = "chromatic number"
+    try:
+        chi, _ = _chromatic(g, meter)
+        search = "graceful chromatic number"
+        graceful, _ = _chi_g(g, meter)
+    except BudgetExhausted:
+        raise BudgetExhausted(f"{search} computation ran out of budget") from None
+    return Characterization(chi=chi, chi_g=graceful, equal=chi == graceful,
+                            chi_g_is_3=graceful == 3)

@@ -26,7 +26,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .ap3 import Ap3Engine, check_level
-from .budget import BudgetMeter, SolveBudget
+from .budget import SolveBudget
 
 # Reference results: n -> (chi_g of the complete graph on n vertices, witness).
 CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
@@ -210,24 +210,23 @@ def table_report(n_max: int, budget: SolveBudget | None = None,
     """Compute graceful chromatic numbers of complete graphs for n = 2..n_max
     and compare each against the embedded reference.
 
-    One budget spans the whole run; once it is exhausted every remaining row
-    is reported unproven.  Unproven rows never report a value.
+    The budget spans one climb of the ladder to a(n_max).  Row n is proven
+    exactly when the climb reached a(n), that is n <= L(frontier), and is
+    then read off the proven ladder; every other row is reported unproven.
+    Unproven rows never report a value.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     engine = engine or Ap3Engine()
-    meter = BudgetMeter(budget)
+    engine.min_span(n_max, budget)
+    reached = engine.length(engine.frontier)
     rows: list[TableRow] = []
-    exhausted = False
     for n in range(2, n_max + 1):
         reference = known_chi_g_complete(n)
-        if not exhausted:
-            result = engine.min_span(n, meter=meter)
-            if not result.proven:
-                exhausted = True
-        if exhausted:
+        if n > reached:
             rows.append(TableRow(n, None, reference, (), STATUS_UNPROVEN))
             continue
+        result = engine.min_span(n)  # reached: no search
         if reference is None:
             status = STATUS_COMPUTED
         elif result.value == reference:

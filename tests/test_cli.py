@@ -187,6 +187,8 @@ def test_usage_errors():
     assert invoke("gen", "wheel", "6", "--max-nodes", "5")[0] == 2
     assert invoke("ap3", "check", "1,2,4", "--cache", "x")[0] == 2
     assert invoke("solve", "g.txt", "--workers", "2")[0] == 2
+    # NaN compares False with everything, so it must not pass as a time limit
+    assert invoke("ap3", "longest", "5", "--max-seconds", "nan")[0] == 2
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -381,8 +383,12 @@ def test_cache_inconsistent_beyond_reference_is_io_error(tmp_path):
     assert "line 123" in err and "L(123)" in err
 
 
-def test_verify_malformed_coloring_is_parse_error(tmp_path, p3_file):
-    colors = coloring_file(tmp_path, "one two three\n")
+@pytest.mark.parametrize("text, message", [
+    ("one two three\n", "integers"),
+    ("1 2\n", "coloring has 2 entries for a graph on 3 vertices"),
+], ids=["not-integers", "wrong-length"])
+def test_verify_malformed_coloring_is_parse_error(tmp_path, p3_file, text, message):
+    colors = coloring_file(tmp_path, text)
     code, _, err = invoke("verify", p3_file, colors)
     assert code == 4
-    assert "integers" in err
+    assert message in err

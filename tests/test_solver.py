@@ -309,17 +309,16 @@ def test_zero_seconds_stops_every_kernel():
 
 
 def test_no_kernel_spends_more_than_its_cap():
-    kernels = (
-        lambda meter: Ap3Engine().longest(40, meter=meter).proven,
-        lambda meter: chi_g(complete(6), meter=meter).status == SOLVED,
-        lambda meter: chromatic_number(wheel(10), meter=meter).status == SOLVED,
-    )
+    # each call makes one meter, and the count it reports is that meter's
     for cap in (1, 2, 3, 7, 50, 333):
-        for kernel in kernels:
-            meter = BudgetMeter(SolveBudget(max_nodes=cap))
-            finished = kernel(meter)
+        budget = SolveBudget(max_nodes=cap)
+        ladder = Ap3Engine().longest(40, budget)
+        runs = [(ladder.proven, ladder.stats.nodes)]
+        for report in (chi_g(complete(6), budget), chromatic_number(wheel(10), budget)):
+            runs.append((report.status == SOLVED, report.nodes))
+        for finished, nodes in runs:
             # a search that runs out has counted exactly its cap
-            assert meter.nodes <= cap if finished else meter.nodes == cap
+            assert nodes <= cap if finished else nodes == cap
 
 
 def test_budget_exhaustion_chi_g_reports_no_value():

@@ -210,16 +210,18 @@ def test_table_report_unproven_rows_on_tiny_budget():
     assert all(row.computed is None for row in rows)
 
 
-def test_table_report_budget_midway_never_wrong():
-    rows = table_report(12, SolveBudget(max_nodes=1000))
+@pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 6), (200, 8),
+                                         (1000, 10), (2000, 11)])
+def test_table_report_budget_midway_never_wrong(cap, proven):
+    rows = table_report(12, SolveBudget(max_nodes=cap))
     for row in rows:
         if row.status == "ok":
             assert row.computed == known_chi_g_complete(row.n)
         else:
             assert row.status == "unproven"
             assert row.computed is None
-    assert rows[0].status == "ok"
-    assert rows[-1].status == "unproven"
+    # the proven rows are a prefix: n = 2..proven+1
+    assert [row.status for row in rows] == ["ok"] * proven + ["unproven"] * (11 - proven)
 
 
 def test_render_table_text_and_records():
