@@ -12,11 +12,10 @@ from .checking import (
     GracefulColoring,
     VerificationReport,
     Violation,
-    induced_edge_colors,
     parse_coloring,
     verify_graceful,
 )
-from .complete import CompleteGracefulResult, check_complete_equivalence, chi_g_complete
+from .complete import chi_g_complete
 from .graphs import (
     Graph,
     GraphFamily,
@@ -25,7 +24,6 @@ from .graphs import (
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     is_connected,
     max_degree,
     parse_graph,

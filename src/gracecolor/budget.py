@@ -26,8 +26,11 @@ class SolveBudget:
     max_seconds: float | None = None
 
     def __post_init__(self):
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
+        # a kernel's integer count never equals a fractional or NaN cap; and
+        # type() rather than isinstance() so that True is not a cap of 1
+        if self.max_nodes is not None and not (
+                type(self.max_nodes) is int and self.max_nodes >= 1):
+            raise ValueError("max_nodes must be an integer >= 1")
         # written so that NaN, which compares False with everything, fails too
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise ValueError("max_seconds must be a number >= 0")

@@ -1,4 +1,4 @@
-"""Graceful coloring verification and the induced edge coloring.
+"""Graceful colorings: the coloring value, its text format and the verifier.
 
 A coloring of a graph is graceful for palette size l when it is a proper
 vertex coloring into [1, l] and the induced edge coloring, which gives edge
@@ -43,10 +43,6 @@ class GracefulColoring:
             raise ValueError("colors are positive integers")
         object.__setattr__(self, "colors", tuple(self.colors))
 
-    def reflected(self) -> "GracefulColoring":
-        """Mirror every color x to palette+1-x; preserves all differences."""
-        return GracefulColoring(tuple(self.palette + 1 - c for c in self.colors), self.palette)
-
 
 def parse_coloring(text: str, palette: int | None = None) -> GracefulColoring:
     """Parse the coloring text format: one line of space-separated positive
@@ -84,14 +80,6 @@ class Violation:
 class VerificationReport:
     valid: bool
     violation: Violation | None = None
-
-
-def induced_edge_colors(g: Graph, coloring: GracefulColoring) -> dict[tuple[int, int], int]:
-    """Map every edge (u, v) to |colors[u] - colors[v]|; may contain zeros."""
-    colors = coloring.colors
-    if len(colors) != g.n:
-        raise ValueError(f"coloring has {len(colors)} entries for a graph on {g.n} vertices")
-    return {(u, v): abs(colors[u] - colors[v]) for u, v in g.edges}
 
 
 def verify_graceful(g: Graph, coloring: GracefulColoring) -> VerificationReport:

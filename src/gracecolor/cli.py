@@ -208,14 +208,14 @@ def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.command == "complete":
         engine, cache = _load_cache_engine(args)
         try:
-            result = chi_g_complete(args.n, _budget(args), engine)
+            coloring = chi_g_complete(args.n, _budget(args), engine)
         finally:
             _store_cache(args, engine, cache)
         if args.records:
-            print(f"{result.n} {result.chi_g} {_csv(result.color_set)}", file=out)
+            print(f"{args.n} {coloring.palette} {_csv(coloring.colors)}", file=out)
         else:
-            print(f"chi_g(K_{result.n}) = {result.chi_g}", file=out)
-            print(f"witness: {_csv(result.color_set)}", file=out)
+            print(f"chi_g(K_{args.n}) = {coloring.palette}", file=out)
+            print(f"witness: {_csv(coloring.colors)}", file=out)
         return EXIT_OK
 
     if args.command == "ap3":

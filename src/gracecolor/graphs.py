@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,29 +83,6 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 stack.append(v)
     return count == g.n
-
-
-def diameter(g: Graph) -> int | float:
-    """Longest shortest-path distance; math.inf if g is disconnected.
-
-    Breadth-first search from every vertex; fine for the small graphs this
-    package targets.
-    """
-    best = 0
-    for source in range(g.n):
-        dist = [-1] * g.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if -1 in dist:
-            return float("inf")
-        best = max(best, max(dist))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 The oracles here deliberately re-derive everything from definitions (edge
 pairs, full enumeration, triple scans) so they stay independent of the
-production code paths they are used to check.
+production code paths they are used to check.  check_complete_equivalence
+is the exception: it puts two of the package's own checks side by side.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from gracecolor.graphs import Graph, is_connected
+from gracecolor.ap3 import is_ap3_free
+from gracecolor.checking import GracefulColoring, verify_graceful
+from gracecolor.graphs import Graph, complete, is_connected
 
 
 def all_graphs(n: int):
@@ -52,6 +56,22 @@ def hypercube(d: int) -> Graph:
     n = 1 << d
     return Graph.from_edges(n, [(v, v | 1 << b) for v in range(n) for b in range(d)
                                 if not v >> b & 1])
+
+
+def diameter(g: Graph) -> int | float:
+    """Longest shortest-path distance by Floyd-Warshall; math.inf if g is
+    disconnected."""
+    n = g.n
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for u, v in g.edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                alt = dist[i][k] + dist[k][j]
+                if alt < dist[i][j]:
+                    dist[i][j] = alt
+    return max(max(row) for row in dist)
 
 
 def canonical_form(g: Graph) -> tuple:
@@ -166,6 +186,16 @@ def brute_force_chi_g(g: Graph, cap: int = 12) -> int | None:
             if graceful_valid_oracle(g, colors, k):
                 return k
     return None
+
+
+def check_complete_equivalence(colors) -> tuple[bool, bool]:
+    """(graceful on the complete graph, 3-AP-free) for a set of n >= 2 colors,
+    each side decided by the package's own check."""
+    values = tuple(sorted(set(colors)))
+    if len(values) < 2:
+        raise ValueError("need at least two distinct colors")
+    coloring = GracefulColoring(values, max(values[-1], 2))
+    return verify_graceful(complete(len(values)), coloring).valid, is_ap3_free(values)
 
 
 def contains_progression(values) -> bool:

@@ -19,7 +19,6 @@ import pytest
 from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import SolveBudget
 from gracecolor.checking import GracefulColoring, verify_graceful
-from gracecolor.complete import check_complete_equivalence
 from gracecolor.graphs import (
     Graph,
     caterpillar,
@@ -47,6 +46,7 @@ from support import (
     all_connected_graphs,
     brute_force_chi_g,
     canonical_form,
+    check_complete_equivalence,
     contains_progression,
     graceful_valid_oracle,
     longest_by_enumeration,

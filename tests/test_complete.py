@@ -6,42 +6,40 @@ import pytest
 
 from gracecolor.ap3 import Ap3Engine, is_ap3_free
 from gracecolor.budget import BudgetExhausted, SolveBudget
-from gracecolor.checking import verify_graceful
-from gracecolor.complete import check_complete_equivalence, chi_g_complete
+from gracecolor.checking import GracefulColoring, verify_graceful
+from gracecolor.complete import chi_g_complete
 from gracecolor.graphs import complete
 from gracecolor.solver import chi_g
+from support import check_complete_equivalence
 
 
 def test_chi_g_complete_reference_points():
-    assert chi_g_complete(2).chi_g == 2
-    assert chi_g_complete(2).color_set == (1, 2)
-    r6 = chi_g_complete(6)
-    assert r6.chi_g == 11
-    assert r6.color_set == (1, 2, 4, 5, 10, 11)
-    assert chi_g_complete(16).chi_g == 41
+    assert chi_g_complete(2) == GracefulColoring((1, 2), 2)
+    assert chi_g_complete(6) == GracefulColoring((1, 2, 4, 5, 10, 11), 11)
+    assert chi_g_complete(16).palette == 41
 
 
 def test_chi_g_complete_result_invariants():
     engine = Ap3Engine()
     for n in range(2, 13):
-        result = chi_g_complete(n, engine=engine)
-        assert result.chi_g == max(result.color_set)
-        assert len(result.color_set) == n
-        assert is_ap3_free(result.color_set)
-        assert result.coloring.palette == result.chi_g
-        assert verify_graceful(complete(n), result.coloring).valid
+        coloring = chi_g_complete(n, engine=engine)
+        assert coloring.palette == max(coloring.colors)
+        assert len(coloring.colors) == n
+        assert list(coloring.colors) == sorted(coloring.colors)
+        assert is_ap3_free(coloring.colors)
+        assert verify_graceful(complete(n), coloring).valid
 
 
 def test_chi_g_complete_agrees_with_generic_solver():
     engine = Ap3Engine()
     for n in range(2, 8):
-        assert chi_g_complete(n, engine=engine).chi_g == chi_g(complete(n)).value
+        assert chi_g_complete(n, engine=engine).palette == chi_g(complete(n)).value
 
 
 def test_chi_g_complete_at_least_n():
     engine = Ap3Engine()
     for n in range(2, 14):
-        value = chi_g_complete(n, engine=engine).chi_g
+        value = chi_g_complete(n, engine=engine).palette
         assert value >= n
         assert (value == n) == (n == 2)
 

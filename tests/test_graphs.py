@@ -1,6 +1,5 @@
 """Graph construction, family generators, edge-list I/O, and metrics."""
 
-import math
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from gracecolor.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     is_connected,
     max_degree,
     parse_graph,
@@ -172,32 +170,6 @@ def test_regularity_examples():
     assert regularity(cycle(5)) == 2
     assert regularity(path(4)) is None
     assert regularity(complete(6)) == 5
-
-
-def test_diameter_examples():
-    for n in range(2, 7):
-        assert diameter(complete(n)) == 1
-    assert diameter(wheel(6)) == 2
-    assert diameter(path(5)) == 4
-    disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert diameter(disconnected) == math.inf
-
-
-def test_diameter_against_floyd_warshall():
-    rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randint(2, 10)
-        g = random_connected_graph(rng, n)
-        dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
-        for u, v in g.edges:
-            dist[u][v] = dist[v][u] = 1
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    alt = dist[i][k] + dist[k][j]
-                    if alt < dist[i][j]:
-                        dist[i][j] = alt
-        assert diameter(g) == max(max(row) for row in dist)
 
 
 def test_graphs_are_immutable_and_hashable():

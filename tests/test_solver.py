@@ -14,7 +14,6 @@ from gracecolor.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    diameter,
     path,
     random_tree,
     star,
@@ -38,6 +37,7 @@ from support import (
     brute_force_chi_g,
     canonical_form,
     cnf_graceful_coloring,
+    diameter,
     graceful_valid_oracle,
     grid,
     hypercube,
@@ -231,6 +231,14 @@ def test_diameter_check_matches_diameter():
             assert _diameter_at_most_2(g) == (diameter(g) <= 2), g.edges
 
 
+def test_diameter_check_boundary_cases():
+    for n in range(2, 7):
+        assert _diameter_at_most_2(complete(n))
+    assert _diameter_at_most_2(wheel(6))
+    assert not _diameter_at_most_2(path(5))
+    assert not _diameter_at_most_2(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
 def test_chi_g_at_least_lower_bound():
     rng = random.Random(1618)
     for _ in range(40):
@@ -306,6 +314,17 @@ def test_zero_seconds_stops_every_kernel():
     for report in (chi_g(cycle(7), budget), chromatic_number(wheel(10), budget),
                    solve_graceful_decision(complete(5), 8, budget)):
         assert (report.status, report.nodes) == (EXHAUSTED, 0)
+
+
+@pytest.mark.parametrize("cap", [0, -1, float("nan"), 2.5, True])
+def test_budget_rejects_a_node_cap_that_is_not_a_positive_integer(cap):
+    # a fractional or NaN cap would never equal a kernel's integer count
+    with pytest.raises(ValueError):
+        SolveBudget(max_nodes=cap)
+
+
+def test_budget_accepts_a_node_cap_of_one():
+    assert SolveBudget(max_nodes=1).max_nodes == 1
 
 
 def test_no_kernel_spends_more_than_its_cap():
