@@ -148,11 +148,12 @@ class Ap3Engine:
     def _climb(self, unfinished: Callable[[], bool],
                budget: SolveBudget | None) -> tuple[SearchStats, bool]:
         """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
-        attainable, else L(m-1).  Every level draws on one meter, so
+        attainable, else L(m-1).  Every level draws on one meter, and
         stats.nodes is that meter's count.  Returns the stats and whether the
         climb finished before the budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
+        proven = True
         try:
             while unfinished():
                 m = len(self._lengths)
@@ -163,8 +164,9 @@ class Ap3Engine:
                 self._lengths.append(target)
                 self._witnesses.append(found)
         except BudgetExhausted:
-            return stats, False
-        return stats, True
+            proven = False
+        stats.nodes = meter.nodes
+        return stats, proven
 
 
 def _upto(x: int) -> int:
@@ -219,17 +221,16 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     fail the window or the popcount test and end it at once.
 
     Counts.  A node is a candidate taken off a frame inside its window, and
-    the budget is charged per node.  A prune is a frame the window ends with
-    candidates left, a candidate failing the popcount test, or a child
-    refused before push.  A level with target <= 2, whose answer is {1, m},
-    counts one node.
+    the budget is charged per node; the meter holds the count.  A prune is
+    a frame the window ends with candidates left, a candidate failing the
+    popcount test, or a child refused before push; stats holds the prunes.
+    A level with target <= 2, whose answer is {1, m}, counts one node.
 
     Requires lengths[t] = L(t) for all t < m.
     """
     if target <= 2:
         meter.next_stop(0)
         meter.spend(1)
-        stats.nodes += 1
         return (1,) if m == 1 else (1, m)
 
     span = [bisect_left(lengths, n) for n in range(target)]  # a(n) for n < target
@@ -279,5 +280,4 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
                 prunes += 1
     finally:
         meter.spend(nodes)
-        stats.nodes += nodes
         stats.prunes_by_bound += prunes

@@ -24,11 +24,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from . import ap3, solver, tables
 from .budget import BudgetExhausted, SolveBudget
-from .checking import ColoringFormatError, GracefulColoring, parse_coloring, verify_graceful
+from .checking import ColoringFormatError, parse_coloring, verify_graceful
 from .complete import chi_g_complete
 from .graphs import FAMILY_TAGS, GraphFamily, GraphFormatError, parse_graph, serialize_graph
 
@@ -42,11 +42,13 @@ DEFAULT_MAX_NODES = 10 ** 8
 DEFAULT_MAX_SECONDS = 60.0
 CACHE_ENV_VAR = "GRACECOLOR_CACHE"
 
+T = TypeVar("T")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it acts on: all take --records, the
     # searching ones also a budget, and the ladder ones, which read and extend
-    # the cache of proven L levels, also --cache.
+    # the cache of proven L levels, also --cache.  Each names its handler.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--records", action="store_true",
                         help="line-oriented machine-readable output")
@@ -65,31 +67,40 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="check a graceful coloring")
+    p.set_defaults(handler=_verify)
     p.add_argument("graph")
     p.add_argument("coloring")
     p.add_argument("--palette", type=int, default=None,
                    help="palette size l (default: largest color used)")
 
-    for name in ("solve", "chromatic", "characterize"):
+    for name, handler in (("solve", _solve), ("chromatic", _chromatic),
+                          ("characterize", _characterize)):
         p = sub.add_parser(name, parents=[search])
+        p.set_defaults(handler=handler)
         p.add_argument("graph")
 
     p = sub.add_parser("complete", parents=[ladder])
+    p.set_defaults(handler=_complete)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("ap3")
     ap3_sub = p.add_subparsers(dest="ap3_command", required=True)
     q = ap3_sub.add_parser("longest", parents=[ladder])
+    q.set_defaults(handler=_ap3_longest)
     q.add_argument("m", type=int)
     q = ap3_sub.add_parser("minspan", parents=[ladder])
+    q.set_defaults(handler=_ap3_minspan)
     q.add_argument("k", type=int)
     q = ap3_sub.add_parser("check", parents=[common])
+    q.set_defaults(handler=_ap3_check)
     q.add_argument("elements", help="comma-separated integers")
 
     p = sub.add_parser("table", parents=[ladder])
+    p.set_defaults(handler=_table)
     p.add_argument("n_max", type=int)
 
     p = sub.add_parser("gen", parents=[common])
+    p.set_defaults(handler=_gen)
     p.add_argument("family", choices=FAMILY_TAGS)
     p.add_argument("params", nargs="+", type=int)
 
@@ -121,25 +132,6 @@ def _csv(values: Sequence[int]) -> str:
     return ",".join(map(str, values))
 
 
-def _load_cache_engine(args: argparse.Namespace) -> tuple[ap3.Ap3Engine, tables.ValueCache | None]:
-    engine = ap3.Ap3Engine()
-    cache = None
-    if args.cache:
-        if os.path.exists(args.cache):
-            cache = tables.load_cache(args.cache)
-            cache.seed_engine(engine)
-        else:
-            cache = tables.ValueCache()
-    return engine, cache
-
-
-def _store_cache(args: argparse.Namespace, engine: ap3.Ap3Engine,
-                 cache: tables.ValueCache | None) -> None:
-    if cache is not None:
-        cache.absorb_engine(engine)
-        tables.store_cache(cache, args.cache)
-
-
 def run(argv: Sequence[str], stdout: TextIO | None = None,
         stderr: TextIO | None = None) -> int:
     """Execute one CLI invocation; returns the exit code."""
@@ -152,7 +144,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        return _dispatch(args, out, err)
+        return args.handler(args, out, err)
     except BrokenPipeError:
         return EXIT_IO  # the reader closed stdout; nothing left to tell it
     except (GraphFormatError, ColoringFormatError, tables.CacheFormatError, OSError) as exc:
@@ -166,141 +158,147 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         return EXIT_USAGE
 
 
-def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    if args.command == "verify":
-        g = parse_graph(_read(args.graph))
-        coloring = parse_coloring(_read(args.coloring), args.palette)
-        report = verify_graceful(g, coloring)
-        if report.valid:
-            print("valid" if not args.records else f"valid {coloring.palette}", file=out)
-            return EXIT_OK
-        if args.records:
-            kind = report.violation.kind
-            print(f"invalid {kind} {_csv(report.violation.vertices)}", file=out)
-        else:
-            print(f"invalid: {report.violation}", file=out)
-        return EXIT_INVALID
+def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudget], T]) -> T:
+    """Run search(engine, budget) on an engine seeded from --cache, and store
+    the engine's proven levels back to --cache when the search returns or
+    runs out of budget.  A rejected argument stores nothing."""
+    engine = ap3.Ap3Engine()
+    cache = None
+    if args.cache:
+        cache = (tables.load_cache(args.cache) if os.path.exists(args.cache)
+                 else tables.ValueCache())
+        cache.seed_engine(engine)
+    try:
+        outcome = search(engine, _budget(args))
+    except BudgetExhausted as exc:
+        outcome = exc
+    if cache is not None:
+        cache.absorb_engine(engine)
+        tables.store_cache(cache, args.cache)
+    if isinstance(outcome, BudgetExhausted):
+        raise outcome
+    return outcome
 
-    if args.command == "solve":
-        g = parse_graph(_read(args.graph))
-        report = solver.chi_g(g, _budget(args))
-        return _emit_solve(report, "chi_g", args, out, err)
 
-    if args.command == "chromatic":
-        g = parse_graph(_read(args.graph))
-        report = solver.chromatic_number(g, _budget(args))
-        return _emit_solve(report, "chi", args, out, err)
-
-    if args.command == "characterize":
-        g = parse_graph(_read(args.graph))
-        result = solver.characterize(g, _budget(args))
-        flags = {True: "true", False: "false"}
-        if args.records:
-            print(f"{result.chi} {result.chi_g} "
-                  f"{int(result.equal)} {int(result.chi_g_is_3)}", file=out)
-        else:
-            print(f"chi = {result.chi}", file=out)
-            print(f"chi_g = {result.chi_g}", file=out)
-            print(f"equal = {flags[result.equal]}", file=out)
-            print(f"chi_g_is_3 = {flags[result.chi_g_is_3]}", file=out)
+def _verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    g = parse_graph(_read(args.graph))
+    coloring = parse_coloring(_read(args.coloring), args.palette)
+    report = verify_graceful(g, coloring)
+    if report.valid:
+        print("valid" if not args.records else f"valid {coloring.palette}", file=out)
         return EXIT_OK
-
-    if args.command == "complete":
-        engine, cache = _load_cache_engine(args)
-        try:
-            coloring = chi_g_complete(args.n, _budget(args), engine)
-        finally:
-            _store_cache(args, engine, cache)
-        if args.records:
-            print(f"{args.n} {coloring.palette} {_csv(coloring.colors)}", file=out)
-        else:
-            print(f"chi_g(K_{args.n}) = {coloring.palette}", file=out)
-            print(f"witness: {_csv(coloring.colors)}", file=out)
-        return EXIT_OK
-
-    if args.command == "ap3":
-        return _dispatch_ap3(args, out, err)
-
-    if args.command == "table":
-        engine, cache = _load_cache_engine(args)
-        rows = tables.table_report(args.n_max, _budget(args), engine)
-        _store_cache(args, engine, cache)
-        _write(out, tables.render_table(rows, records=args.records))
-        statuses = {row.status for row in rows}
-        if tables.STATUS_MISMATCH in statuses:
-            print("reference mismatch detected", file=err)
-            return EXIT_INVALID
-        if tables.STATUS_UNPROVEN in statuses:
-            return EXIT_BUDGET
-        return EXIT_OK
-
-    if args.command == "gen":
-        family = GraphFamily(args.family, tuple(args.params))
-        _write(out, serialize_graph(family.build()))
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.records:
+        kind = report.violation.kind
+        print(f"invalid {kind} {_csv(report.violation.vertices)}", file=out)
+    else:
+        print(f"invalid: {report.violation}", file=out)
+    return EXIT_INVALID
 
 
-def _dispatch_ap3(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    if args.ap3_command == "check":
-        try:
-            values = tuple(int(tok) for tok in args.elements.split(","))
-        except ValueError:
-            print(f"error: not a comma-separated integer list: {args.elements!r}",
-                  file=err)
-            return EXIT_USAGE
-        ordered = tuple(sorted(set(values)))
-        free = ap3.is_ap3_free(ordered)
-        label = "3-AP-free" if free else "not 3-AP-free"
-        print(f"{label}: ({_csv(values)})", file=out)
-        return EXIT_OK if free else EXIT_INVALID
-
-    engine, cache = _load_cache_engine(args)
-    if args.ap3_command == "longest":
-        result = engine.longest(args.m, _budget(args))
-        _store_cache(args, engine, cache)  # proven ladder prefix only
-        if args.records:
-            status = "proven" if result.proven else "unproven"
-            print(f"{args.m} {result.value} {status} {_csv(result.witness)}", file=out)
-        else:
-            suffix = "" if result.proven else " (unproven lower bound)"
-            print(f"L({args.m}) = {result.value}{suffix}", file=out)
-            print(f"witness: {_csv(result.witness)}", file=out)
-        return EXIT_OK if result.proven else EXIT_BUDGET
-
-    if args.ap3_command == "minspan":
-        result = engine.min_span(args.k, _budget(args))
-        _store_cache(args, engine, cache)
-        if result.proven:
-            if args.records:
-                print(f"{args.k} {result.value} proven {_csv(result.witness)}", file=out)
-            else:
-                print(f"a({args.k}) = {result.value}", file=out)
-                print(f"witness: {_csv(result.witness)}", file=out)
-            return EXIT_OK
-        if args.records:
-            print(f"{args.k} - unproven", file=out)
-        else:
-            print(f"a({args.k}) unproven: exceeds {result.value}", file=out)
-        return EXIT_BUDGET
-
-    raise AssertionError(f"unhandled ap3 command {args.ap3_command!r}")
+def _solve(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    report = solver.chi_g(parse_graph(_read(args.graph)), _budget(args))
+    return _emit_solve(report, "chi_g", report.witness and report.witness.colors,
+                       args, out, err)
 
 
-def _emit_solve(report: solver.SolveReport, label: str, args: argparse.Namespace,
-                out: TextIO, err: TextIO) -> int:
+def _chromatic(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    report = solver.chromatic_number(parse_graph(_read(args.graph)), _budget(args))
+    return _emit_solve(report, "chi", report.witness, args, out, err)
+
+
+def _emit_solve(report: solver.SolveReport, label: str, colors: Sequence[int] | None,
+                args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if report.status == solver.EXHAUSTED:
         print(f"budget exhausted after {report.nodes} nodes", file=err)
         return EXIT_BUDGET
-    witness = report.witness
-    colors = witness.colors if isinstance(witness, GracefulColoring) else witness
     if args.records:
         print(f"{label} {report.value} {_csv(colors)}", file=out)
     else:
         print(f"{label} = {report.value}", file=out)
         print(f"witness: {_csv(colors)}", file=out)
         print(f"nodes: {report.nodes}", file=out)
+    return EXIT_OK
+
+
+def _characterize(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    result = solver.characterize(parse_graph(_read(args.graph)), _budget(args))
+    flags = {True: "true", False: "false"}
+    if args.records:
+        print(f"{result.chi} {result.chi_g} "
+              f"{int(result.equal)} {int(result.chi_g_is_3)}", file=out)
+    else:
+        print(f"chi = {result.chi}", file=out)
+        print(f"chi_g = {result.chi_g}", file=out)
+        print(f"equal = {flags[result.equal]}", file=out)
+        print(f"chi_g_is_3 = {flags[result.chi_g_is_3]}", file=out)
+    return EXIT_OK
+
+
+def _complete(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    coloring = _ladder(args, lambda engine, budget: chi_g_complete(args.n, budget, engine))
+    if args.records:
+        print(f"{args.n} {coloring.palette} {_csv(coloring.colors)}", file=out)
+    else:
+        print(f"chi_g(K_{args.n}) = {coloring.palette}", file=out)
+        print(f"witness: {_csv(coloring.colors)}", file=out)
+    return EXIT_OK
+
+
+def _ap3_longest(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    result = _ladder(args, lambda engine, budget: engine.longest(args.m, budget))
+    if args.records:
+        status = "proven" if result.proven else "unproven"
+        print(f"{args.m} {result.value} {status} {_csv(result.witness)}", file=out)
+    else:
+        suffix = "" if result.proven else " (unproven lower bound)"
+        print(f"L({args.m}) = {result.value}{suffix}", file=out)
+        print(f"witness: {_csv(result.witness)}", file=out)
+    return EXIT_OK if result.proven else EXIT_BUDGET
+
+
+def _ap3_minspan(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    result = _ladder(args, lambda engine, budget: engine.min_span(args.k, budget))
+    if result.proven:
+        if args.records:
+            print(f"{args.k} {result.value} proven {_csv(result.witness)}", file=out)
+        else:
+            print(f"a({args.k}) = {result.value}", file=out)
+            print(f"witness: {_csv(result.witness)}", file=out)
+        return EXIT_OK
+    if args.records:
+        print(f"{args.k} - unproven", file=out)
+    else:
+        print(f"a({args.k}) unproven: exceeds {result.value}", file=out)
+    return EXIT_BUDGET
+
+
+def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    try:
+        values = tuple(int(tok) for tok in args.elements.split(","))
+    except ValueError:
+        print(f"error: not a comma-separated integer list: {args.elements!r}", file=err)
+        return EXIT_USAGE
+    ordered = tuple(sorted(set(values)))
+    free = ap3.is_ap3_free(ordered)
+    label = "3-AP-free" if free else "not 3-AP-free"
+    print(f"{label}: ({_csv(values)})", file=out)
+    return EXIT_OK if free else EXIT_INVALID
+
+
+def _table(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    rows = _ladder(args, lambda engine, budget: tables.table_report(args.n_max, budget, engine))
+    _write(out, tables.render_table(rows, records=args.records))
+    statuses = {row.status for row in rows}
+    if tables.STATUS_MISMATCH in statuses:
+        print("reference mismatch detected", file=err)
+        return EXIT_INVALID
+    if tables.STATUS_UNPROVEN in statuses:
+        return EXIT_BUDGET
+    return EXIT_OK
+
+
+def _gen(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    _write(out, serialize_graph(GraphFamily(args.family, tuple(args.params)).build()))
     return EXIT_OK
 
 

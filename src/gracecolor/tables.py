@@ -22,6 +22,7 @@ drops them.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 
@@ -75,11 +76,6 @@ CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
     32: (122, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41, 82, 83, 85,
                86, 91, 92, 94, 95, 109, 110, 112, 113, 118, 119, 121, 122)),
 }
-
-# Published largest-subset sizes kept for the stretch check; not hard-coded
-# into any search path, only compared against computed results.
-LONGEST_REFERENCE: dict[int, int] = {122: 32}
-
 
 # L(m) = #{n : a(n) <= m} for m = 0..122, as the reference table fixes it
 # ((m >= 1) counts a(1) = 1; a is strictly increasing and a(32) = 122, so
@@ -173,13 +169,23 @@ def load_cache(path: str) -> ValueCache:
 
 
 def store_cache(cache: ValueCache, path: str) -> None:
-    """Write the cache sorted by m; atomic via temp file + rename."""
+    """Write the cache sorted by m; atomic via temp file + rename.  The file
+    keeps the mode of the one it replaces; a new one gets the mode that
+    open(path, "w") would give it."""
     lines = [f"L {m} {value} {','.join(map(str, witness))}\n"
              for m, (value, witness) in sorted(cache.levels.items())]
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # the umask is read by setting it; the strictest value stands in meanwhile
+        umask = os.umask(0o077)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            os.fchmod(fd, mode)
             handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:

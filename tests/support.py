@@ -16,6 +16,9 @@ from gracecolor.ap3 import is_ap3_free
 from gracecolor.checking import GracefulColoring, verify_graceful
 from gracecolor.graphs import Graph, complete, is_connected
 
+# Published largest-subset size of [1..122], for the stretch check of L(122).
+LONGEST_REFERENCE: dict[int, int] = {122: 32}
+
 
 def all_graphs(n: int):
     """Every labeled simple graph on n vertices."""

@@ -36,13 +36,13 @@ from gracecolor.graphs import (
 from gracecolor.solver import SOLVED, characterize, chi_g, graceful_lower_bound
 from gracecolor.tables import (
     CHI_G_COMPLETE_REFERENCE,
-    LONGEST_REFERENCE,
     ValueCache,
     load_cache,
     store_cache,
     table_report,
 )
 from support import (
+    LONGEST_REFERENCE,
     all_connected_graphs,
     brute_force_chi_g,
     canonical_form,

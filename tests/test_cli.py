@@ -347,6 +347,26 @@ def test_cache_env_var_default(tmp_path, monkeypatch):
     assert "L 5 4" in cache.read_text()
 
 
+@pytest.mark.parametrize("argv", [("complete", "1"), ("table", "1"),
+                                  ("ap3", "minspan", "0"), ("ap3", "longest", "0")])
+def test_rejected_ladder_argument_writes_no_cache(tmp_path, argv):
+    cache = tmp_path / "cache.txt"
+    code, out, err = invoke(*argv, "--cache", str(cache))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv", [("complete", "12"), ("table", "12"),
+                                  ("ap3", "minspan", "12"), ("ap3", "longest", "40")])
+def test_exhausted_ladder_command_stores_its_proven_levels(tmp_path, argv):
+    cache, full = tmp_path / "cache.txt", tmp_path / "full.txt"
+    assert invoke(*argv, "--max-nodes", "50", "--cache", str(cache))[0] == 3
+    assert invoke(*argv, "--cache", str(full))[0] == 0
+    stored = cache.read_text()
+    assert stored.startswith("L 1 1 1\n") and full.read_text().startswith(stored)
+    assert len(stored.splitlines()) < len(full.read_text().splitlines())
+
+
 def test_corrupt_cache_is_io_error(tmp_path):
     cache = tmp_path / "cache.txt"
     cache.write_text("L 5 9 1,2,4,5\n")

@@ -1,5 +1,6 @@
 """Graph construction, family generators, edge-list I/O, and metrics."""
 
+import itertools
 import random
 
 import pytest
@@ -153,10 +154,10 @@ def test_family_dispatch_matches_functions():
 
 
 def test_random_tree_is_tree():
-    for seed in range(10):
-        g = random_tree(12, seed)
-        assert g.n == 12
-        assert len(g.edges) == 11
+    for n, seed in itertools.product((2, 12), range(10)):
+        g = random_tree(n, seed)
+        assert g.n == n
+        assert len(g.edges) == n - 1
         assert is_connected(g)
 
 

@@ -1,6 +1,8 @@
 """Reference table consistency, cache persistence, and the reproduction report."""
 
+import os
 import random
+import stat
 
 import pytest
 
@@ -179,6 +181,27 @@ def test_store_is_sorted_and_lf(tmp_path):
     path = tmp_path / "cache.txt"
     store_cache(cache, str(path))
     assert path.read_text() == "L 2 2 1,2\nL 5 4 1,2,4,5\n"
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o604], ids=oct)
+def test_store_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode):
+    path = tmp_path / "cache.txt"
+    path.write_text("")
+    path.chmod(mode)
+    store_cache(ValueCache({1: (1, (1,))}), str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "L 1 1 1\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_store_gives_a_new_file_the_mode_open_would(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "opened.txt").open("w").close()
+        store_cache(ValueCache(), str(tmp_path / "cache.txt"))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "cache.txt").stat().st_mode == (tmp_path / "opened.txt").stat().st_mode
 
 
 def test_seed_engine_round_trip(tmp_path):
