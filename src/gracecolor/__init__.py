@@ -8,7 +8,6 @@ equivalence with minimal-span 3-AP-free integer sets.
 from .ap3 import Ap3Engine, Ap3Result, SearchStats, is_ap3_free
 from .budget import BudgetExhausted, SolveBudget
 from .checking import (
-    ColoringFormatError,
     GracefulColoring,
     VerificationReport,
     Violation,
@@ -17,9 +16,9 @@ from .checking import (
 )
 from .complete import chi_g_complete
 from .graphs import (
+    FormatError,
     Graph,
     GraphFamily,
-    GraphFormatError,
     caterpillar,
     complete,
     complete_bipartite,
@@ -44,7 +43,6 @@ from .solver import (
     solve_graceful_decision,
 )
 from .tables import (
-    CacheFormatError,
     ValueCache,
     known_chi_g_complete,
     load_cache,

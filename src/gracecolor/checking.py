@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import FormatError, Graph
 
 ADJACENT_EQUAL = "adjacent-equal"
 DUPLICATE_INCIDENT_DIFFERENCE = "duplicate-incident-difference"
 COLOR_OUT_OF_RANGE = "color-out-of-range"
-
-
-class ColoringFormatError(ValueError):
-    """Malformed coloring document."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,13 +45,13 @@ def parse_coloring(text: str, palette: int | None = None) -> GracefulColoring:
     integers.  The palette defaults to the largest color used (at least 2)."""
     tokens = text.split()
     if not tokens:
-        raise ColoringFormatError("empty coloring document")
+        raise FormatError("empty coloring document")
     try:
         colors = tuple(int(tok) for tok in tokens)
     except ValueError:
-        raise ColoringFormatError(f"colors must be integers, got {text.split()!r}") from None
+        raise FormatError(f"colors must be integers, got {text.split()!r}") from None
     if any(c < 1 for c in colors):
-        raise ColoringFormatError("colors must be positive")
+        raise FormatError("colors must be positive")
     size = palette if palette is not None else max(max(colors), 2)
     return GracefulColoring(colors, size)
 
@@ -90,11 +86,11 @@ def verify_graceful(g: Graph, coloring: GracefulColoring) -> VerificationReport:
     and ascending neighbor pair.  An edge with equal endpoint colors is
     always reported as adjacent-equal, never as a zero edge color.  A
     coloring whose length differs from the vertex count raises
-    ColoringFormatError: the two documents disagree.
+    FormatError: the two documents disagree.
     """
     colors = coloring.colors
     if len(colors) != g.n:
-        raise ColoringFormatError(
+        raise FormatError(
             f"coloring has {len(colors)} entries for a graph on {g.n} vertices")
     for v in range(g.n):
         if not (1 <= colors[v] <= coloring.palette):

@@ -22,15 +22,17 @@ same cache state produce byte-identical output (timings are never printed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from . import ap3, solver, tables
 from .budget import BudgetExhausted, SolveBudget
-from .checking import ColoringFormatError, parse_coloring, verify_graceful
+from .checking import parse_coloring, verify_graceful
 from .complete import chi_g_complete
-from .graphs import FAMILY_TAGS, GraphFamily, GraphFormatError, parse_graph, serialize_graph
+from .graphs import (FAMILY_TAGS, FormatError, GraphFamily, parse_graph, read_text,
+                     serialize_graph)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -66,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="check a graceful coloring")
+    p = sub.add_parser("verify", parents=[common])
     p.set_defaults(handler=_verify)
     p.add_argument("graph")
     p.add_argument("coloring")
@@ -107,15 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        # the decoder's message does not say which file it was reading
-        raise OSError(f"{path}: {exc}") from None
-
-
 def _budget(args: argparse.Namespace) -> SolveBudget:
     return SolveBudget(args.max_nodes, args.max_seconds)
 
@@ -139,7 +132,9 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
     err = stderr or sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage, errors and --help to sys.stdout and sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
@@ -147,7 +142,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         return args.handler(args, out, err)
     except BrokenPipeError:
         return EXIT_IO  # the reader closed stdout; nothing left to tell it
-    except (GraphFormatError, ColoringFormatError, tables.CacheFormatError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_IO
     except BudgetExhausted as exc:
@@ -165,6 +160,9 @@ def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudg
     engine = ap3.Ap3Engine()
     cache = None
     if args.cache:
+        # store_cache would learn this only after the search, from its temp file
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
+            raise OSError(f"{args.cache}: directory does not exist")
         cache = (tables.load_cache(args.cache) if os.path.exists(args.cache)
                  else tables.ValueCache())
         cache.seed_engine(engine)
@@ -181,8 +179,8 @@ def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudg
 
 
 def _verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = parse_graph(_read(args.graph))
-    coloring = parse_coloring(_read(args.coloring), args.palette)
+    g = parse_graph(read_text(args.graph))
+    coloring = parse_coloring(read_text(args.coloring), args.palette)
     report = verify_graceful(g, coloring)
     if report.valid:
         print("valid" if not args.records else f"valid {coloring.palette}", file=out)
@@ -196,13 +194,13 @@ def _verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _solve(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    report = solver.chi_g(parse_graph(_read(args.graph)), _budget(args))
+    report = solver.chi_g(parse_graph(read_text(args.graph)), _budget(args))
     return _emit_solve(report, "chi_g", report.witness and report.witness.colors,
                        args, out, err)
 
 
 def _chromatic(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    report = solver.chromatic_number(parse_graph(_read(args.graph)), _budget(args))
+    report = solver.chromatic_number(parse_graph(read_text(args.graph)), _budget(args))
     return _emit_solve(report, "chi", report.witness, args, out, err)
 
 
@@ -221,7 +219,7 @@ def _emit_solve(report: solver.SolveReport, label: str, colors: Sequence[int] | 
 
 
 def _characterize(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    result = solver.characterize(parse_graph(_read(args.graph)), _budget(args))
+    result = solver.characterize(parse_graph(read_text(args.graph)), _budget(args))
     flags = {True: "true", False: "false"}
     if args.records:
         print(f"{result.chi} {result.chi_g} "

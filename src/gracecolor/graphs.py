@@ -1,4 +1,5 @@
-"""Simple undirected graphs: construction, named families, edge-list I/O.
+"""Simple undirected graphs: construction, named families, edge-list I/O,
+and the reader and error type that every input file shares.
 
 Vertices are the integers 0..n-1.  Graph values are immutable after
 construction and safe to share between searches.
@@ -12,14 +13,24 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-class GraphFormatError(ValueError):
-    """Malformed edge-list text; carries the 1-based offending line number."""
+class FormatError(ValueError):
+    """Malformed input text: a graph, a coloring or a cache file.  A 1-based
+    line number, when given, prefixes the message."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file.  Bytes that do not decode raise FormatError
+    naming the file, which the decoder's own message does not."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse an edge-list document; raises GraphFormatError with line numbers."""
+    """Parse an edge-list document; raises FormatError with line numbers."""
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -106,30 +117,30 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"expected two integers, got {line!r}", lineno)
+            raise FormatError(f"expected two integers, got {line!r}", lineno)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"expected two integers, got {line!r}", lineno) from None
+            raise FormatError(f"expected two integers, got {line!r}", lineno) from None
         if header is None:
             if a < 1 or b < 0:
-                raise GraphFormatError(f"invalid header n={a} m={b}", lineno)
+                raise FormatError(f"invalid header n={a} m={b}", lineno)
             header = (a, b)
             continue
         n = header[0]
         if a == b:
-            raise GraphFormatError(f"self-loop on vertex {a}", lineno)
+            raise FormatError(f"self-loop on vertex {a}", lineno)
         if not (0 <= a < n and 0 <= b < n):
-            raise GraphFormatError(f"vertex index out of range for n={n}: {line!r}", lineno)
+            raise FormatError(f"vertex index out of range for n={n}: {line!r}", lineno)
         e = (a, b) if a < b else (b, a)
         if e in seen:
-            raise GraphFormatError(f"duplicate edge {e}", lineno)
+            raise FormatError(f"duplicate edge {e}", lineno)
         seen.add(e)
         edges.append(e)
     if header is None:
-        raise GraphFormatError("empty document: missing 'n m' header")
+        raise FormatError("empty document: missing 'n m' header")
     if len(edges) != header[1]:
-        raise GraphFormatError(f"header declares m={header[1]} edges, found {len(edges)}")
+        raise FormatError(f"header declares m={header[1]} edges, found {len(edges)}")
     return Graph.from_edges(header[0], edges)
 
 

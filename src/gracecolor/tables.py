@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .ap3 import Ap3Engine, check_level
 from .budget import SolveBudget
+from .graphs import FormatError, read_text
 
 # Reference results: n -> (chi_g of the complete graph on n vertices, witness).
 CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
@@ -91,16 +92,6 @@ def known_chi_g_complete(n: int) -> int | None:
     return entry[0] if entry else None
 
 
-class CacheFormatError(ValueError):
-    """Malformed cache file; carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 @dataclass
 class ValueCache:
     """Proven ladder levels, m -> (L(m), witness), loadable from and storable
@@ -112,11 +103,11 @@ class ValueCache:
         """Feed contiguous proven levels into an engine; returns levels applied.
 
         An inconsistent level, such as a step other than 0 or 1, raises
-        CacheFormatError."""
+        FormatError."""
         try:
             return engine.seed(self.levels)
         except ValueError as exc:
-            raise CacheFormatError(f"inconsistent L records: {exc}") from None
+            raise FormatError(f"inconsistent L records: {exc}") from None
 
     def absorb_engine(self, engine: Ap3Engine) -> None:
         """Record every proven level of an engine.  They are not checked again:
@@ -129,32 +120,28 @@ def load_cache(path: str) -> ValueCache:
     """Read a cache file; a malformed or invalid record is rejected with its
     line number.  Each L record must pass ap3.check_level, against the record
     of m-1 when the file has one, and agree with the reference table."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        # the decoder's message does not say which file it was reading
-        raise CacheFormatError(f"{path}: {exc}") from None
     records: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # m -> (line, L, witness)
-    for lineno, raw in enumerate(lines, start=1):
+    # split at LF only, as the format says; splitlines would also break at
+    # \f, \v, \x85 and the like, and shift the line numbers it reports
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(" ")
         if len(parts) != 4:
-            raise CacheFormatError(f"expected 4 fields, got {len(parts)}", lineno)
+            raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)
         kind, m_s, value_s, witness_s = parts
         try:
             m, value = int(m_s), int(value_s)
             witness = tuple(int(tok) for tok in witness_s.split(","))
         except ValueError:
-            raise CacheFormatError(f"bad integer field in {line!r}", lineno) from None
+            raise FormatError(f"bad integer field in {line!r}", lineno) from None
         if kind == "A":  # a(n) record of an older file: derivable from L, not trusted
             continue
         if kind != "L":
-            raise CacheFormatError(f"unknown kind {kind!r}", lineno)
+            raise FormatError(f"unknown kind {kind!r}", lineno)
         if m in records:
-            raise CacheFormatError(f"duplicate record L {m}", lineno)
+            raise FormatError(f"duplicate record L {m}", lineno)
         records[m] = (lineno, value, witness)
     for m, (lineno, value, witness) in records.items():
         prev = records[m - 1][1] if m - 1 in records else None
@@ -164,7 +151,7 @@ def load_cache(path: str) -> ValueCache:
                 raise ValueError(f"L {m} {value} contradicts the reference table, "
                                  f"which gives {_FIXED_LENGTHS[m]}")
         except ValueError as exc:
-            raise CacheFormatError(str(exc), lineno) from None
+            raise FormatError(str(exc), lineno) from None
     return ValueCache({m: (value, witness) for m, (_, value, witness) in records.items()})
 
 

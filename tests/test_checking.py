@@ -9,7 +9,7 @@ from gracecolor.checking import (
     ADJACENT_EQUAL,
     COLOR_OUT_OF_RANGE,
     DUPLICATE_INCIDENT_DIFFERENCE,
-    ColoringFormatError,
+    FormatError,
     GracefulColoring,
     parse_coloring,
     verify_graceful,
@@ -81,7 +81,7 @@ def test_parse_coloring_formats():
     assert parse_coloring("1 1").palette == 2  # palette floor
     assert parse_coloring("1 2 4", palette=9).palette == 9
     for bad in ("", "1 x 3", "0 1", "-2 4"):
-        with pytest.raises(ColoringFormatError):
+        with pytest.raises(FormatError):
             parse_coloring(bad)
 
 

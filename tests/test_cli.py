@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gracecolor import ap3
+from gracecolor import ap3, tables
 from gracecolor.cli import run
 from gracecolor.graphs import parse_graph, serialize_graph, wheel
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
@@ -191,6 +191,14 @@ def test_usage_errors():
     assert invoke("ap3", "longest", "5", "--max-seconds", "nan")[0] == 2
 
 
+def test_argparse_writes_to_the_streams_it_is_given(capsys):
+    code, out, err = invoke("solve")
+    assert (code, out) == (2, "") and err.startswith("usage: gracecolor solve")
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "") and out.startswith("usage: gracecolor")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_missing_file_is_io_error(tmp_path):
     code, _, err = invoke("solve", str(tmp_path / "nope.txt"))
     assert code == 4
@@ -365,6 +373,14 @@ def test_exhausted_ladder_command_stores_its_proven_levels(tmp_path, argv):
     stored = cache.read_text()
     assert stored.startswith("L 1 1 1\n") and full.read_text().startswith(stored)
     assert len(stored.splitlines()) < len(full.read_text().splitlines())
+
+
+def test_cache_in_a_missing_directory_fails_before_the_search(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "table_report", lambda *a: pytest.fail("searched"))
+    cache = os.path.join(str(tmp_path), "no-such-dir", "c.txt")
+    code, out, err = invoke("table", "5", "--cache", cache)
+    assert (code, out) == (4, "")
+    assert err == f"error: {cache}: directory does not exist\n"
 
 
 def test_corrupt_cache_is_io_error(tmp_path):

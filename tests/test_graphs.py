@@ -8,7 +8,7 @@ import pytest
 from gracecolor.graphs import (
     Graph,
     GraphFamily,
-    GraphFormatError,
+    FormatError,
     caterpillar,
     complete,
     complete_bipartite,
@@ -46,20 +46,20 @@ def test_parse_smallest_graphs():
 
 
 def test_parse_reports_self_loop_line():
-    with pytest.raises(GraphFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         parse_graph("3 2\n0 1\n1 1")
 
 
 def test_parse_rejections():
-    with pytest.raises(GraphFormatError, match="two integers"):
+    with pytest.raises(FormatError, match="two integers"):
         parse_graph("2 1\n0 x")
-    with pytest.raises(GraphFormatError, match="out of range"):
+    with pytest.raises(FormatError, match="out of range"):
         parse_graph("2 1\n0 5")
-    with pytest.raises(GraphFormatError, match="duplicate"):
+    with pytest.raises(FormatError, match="duplicate"):
         parse_graph("3 2\n0 1\n1 0")
-    with pytest.raises(GraphFormatError, match="declares m=2"):
+    with pytest.raises(FormatError, match="declares m=2"):
         parse_graph("3 2\n0 1")
-    with pytest.raises(GraphFormatError, match="empty"):
+    with pytest.raises(FormatError, match="empty"):
         parse_graph("# nothing here\n")
 
 

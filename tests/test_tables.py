@@ -11,7 +11,7 @@ from gracecolor.ap3 import Ap3Engine, check_level, is_ap3_free
 from gracecolor.budget import SolveBudget
 from gracecolor.tables import (
     CHI_G_COMPLETE_REFERENCE,
-    CacheFormatError,
+    FormatError,
     ValueCache,
     known_chi_g_complete,
     load_cache,
@@ -74,7 +74,7 @@ def test_level_check_tests_size_and_range_before_progressions(tmp_path, monkeypa
     for text, match in (("L 5 3 1,2,4,5\n", "size"), ("L 5 4 1,2,4,6\n", "fit"),
                         ("L 5 4 0,1,3,4\n", "fit")):
         path.write_text(text)
-        with pytest.raises(CacheFormatError, match=match):
+        with pytest.raises(FormatError, match=match):
             load_cache(str(path))
     assert calls == []
 
@@ -85,7 +85,7 @@ def test_cache_rejects_values_contradicting_the_reference(tmp_path):
     for text in ("L 5 3 1,2,4\n",  # L(5) = 4
                  f"L 122 31 {w31}\n"):
         path.write_text(text)
-        with pytest.raises(CacheFormatError, match="reference"):
+        with pytest.raises(FormatError, match="reference"):
             load_cache(str(path))
     # beyond the table nothing is known, so only the witness is checked
     path.write_text(f"L 1 1 1\nL 123 32 {w32}\n")
@@ -95,7 +95,7 @@ def test_cache_rejects_values_contradicting_the_reference(tmp_path):
 def test_load_names_the_line_contradicting_the_reference(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("L 4 3 1,2,4\n# note\nL 5 3 1,2,4\n")
-    with pytest.raises(CacheFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         load_cache(str(path))
 
 
@@ -114,7 +114,7 @@ def test_load_single_record(tmp_path):
 def test_load_rejects_witness_size_mismatch(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text("L 5 9 1,2,4,5\n")
-    with pytest.raises(CacheFormatError, match="line 1"):
+    with pytest.raises(FormatError, match="line 1"):
         load_cache(str(path))
 
 
@@ -129,7 +129,7 @@ def test_load_rejects_malformed_lines(tmp_path):
     for text, match in cases:
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(CacheFormatError, match=match):
+        with pytest.raises(FormatError, match=match):
             load_cache(str(path))
 
 
@@ -147,7 +147,7 @@ def test_load_skips_span_records_but_checks_their_fields(tmp_path):
     for text, match in (("L 2 2 1,2\nA 4 5\n", "line 2: expected 4 fields"),
                         ("A 4 five 1,2,4,5\n", "line 1: bad integer")):
         path.write_text(text)
-        with pytest.raises(CacheFormatError, match=match):
+        with pytest.raises(FormatError, match=match):
             load_cache(str(path))
 
 
@@ -156,7 +156,7 @@ def test_load_names_the_line_of_a_step_fault_in_any_order(tmp_path):
     for text, line in (("L 4 3 1,2,4\nL 5 2 1,2\n", "line 2"),
                        ("L 5 2 1,2\nL 4 3 1,2,4\n", "line 1")):
         path.write_text(text)
-        with pytest.raises(CacheFormatError, match=f"{line}: L\\(5\\)=2 inconsistent"):
+        with pytest.raises(FormatError, match=f"{line}: L\\(5\\)=2 inconsistent"):
             load_cache(str(path))
 
 
