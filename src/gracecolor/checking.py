@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import FormatError, Graph
+from .graphs import FormatError, Graph, document_lines
 
 ADJACENT_EQUAL = "adjacent-equal"
 DUPLICATE_INCIDENT_DIFFERENCE = "duplicate-incident-difference"
@@ -41,17 +41,19 @@ class GracefulColoring:
 
 
 def parse_coloring(text: str, palette: int | None = None) -> GracefulColoring:
-    """Parse the coloring text format: one line of space-separated positive
-    integers.  The palette defaults to the largest color used (at least 2)."""
-    tokens = text.split()
-    if not tokens:
+    """Parse the coloring text format: positive integers, separated by spaces
+    or line ends.  The palette defaults to the largest color used (at least 2)."""
+    colors: list[int] = []
+    for lineno, line in document_lines(text):
+        for tok in line.split():
+            try:
+                colors.append(int(tok))
+            except ValueError:
+                raise FormatError(f"colors must be integers, got {tok!r}", lineno) from None
+            if colors[-1] < 1:
+                raise FormatError(f"colors must be positive, got {colors[-1]}", lineno)
+    if not colors:
         raise FormatError("empty coloring document")
-    try:
-        colors = tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise FormatError(f"colors must be integers, got {text.split()!r}") from None
-    if any(c < 1 for c in colors):
-        raise FormatError("colors must be positive")
     size = palette if palette is not None else max(max(colors), 2)
     return GracefulColoring(colors, size)
 

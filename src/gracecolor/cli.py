@@ -274,8 +274,7 @@ def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
         values = tuple(int(tok) for tok in args.elements.split(","))
     except ValueError:
-        print(f"error: not a comma-separated integer list: {args.elements!r}", file=err)
-        return EXIT_USAGE
+        raise ValueError(f"not a comma-separated integer list: {args.elements!r}") from None
     ordered = tuple(sorted(set(values)))
     free = ap3.is_ap3_free(ordered)
     label = "3-AP-free" if free else "not 3-AP-free"

@@ -1,5 +1,5 @@
 """Simple undirected graphs: construction, named families, edge-list I/O,
-and the reader and error type that every input file shares.
+and the reader, line grammar and error type that every input file shares.
 
 Vertices are the integers 0..n-1.  Graph values are immutable after
 construction and safe to share between searches.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -31,6 +31,18 @@ def read_text(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
+
+
+def document_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line grammar of every input document: (line number, stripped line)
+    for each line that is neither blank nor a '#' comment.  Lines end only at
+    LF, CRLF and CR, as in a file read in text mode; str.splitlines would also
+    end them at \\f, \\v, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -100,32 +112,24 @@ def is_connected(g: Graph) -> bool:
 # Edge-list text format.
 #
 # First line "n m"; then m lines "u v" with u < v, sorted, LF-terminated.
-# Lines starting with '#' are comments (input only).  serialize_graph emits
-# the canonical form; parse_graph accepts unordered endpoints but rejects
-# loops, duplicates, and out-of-range indices.
+# serialize_graph emits this canonical form.  parse_graph reads document_lines,
+# accepts unordered endpoints, and rejects loops, duplicates and bad indices.
 # ---------------------------------------------------------------------------
 
 
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document; raises FormatError with line numbers."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected two integers, got {line!r}", lineno)
+    header: tuple[int, int, int] | None = None  # (n, m, line)
+    edges: set[tuple[int, int]] = set()  # from_edges sorts them
+    for lineno, line in document_lines(text):
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = map(int, line.split())
         except ValueError:
             raise FormatError(f"expected two integers, got {line!r}", lineno) from None
         if header is None:
             if a < 1 or b < 0:
                 raise FormatError(f"invalid header n={a} m={b}", lineno)
-            header = (a, b)
+            header = (a, b, lineno)
             continue
         n = header[0]
         if a == b:
@@ -133,14 +137,13 @@ def parse_graph(text: str) -> Graph:
         if not (0 <= a < n and 0 <= b < n):
             raise FormatError(f"vertex index out of range for n={n}: {line!r}", lineno)
         e = (a, b) if a < b else (b, a)
-        if e in seen:
+        if e in edges:
             raise FormatError(f"duplicate edge {e}", lineno)
-        seen.add(e)
-        edges.append(e)
+        edges.add(e)
     if header is None:
         raise FormatError("empty document: missing 'n m' header")
     if len(edges) != header[1]:
-        raise FormatError(f"header declares m={header[1]} edges, found {len(edges)}")
+        raise FormatError(f"header declares m={header[1]} edges, found {len(edges)}", header[2])
     return Graph.from_edges(header[0], edges)
 
 

@@ -7,13 +7,14 @@ by the internal-consistency test instead of being trusted silently.
 
 The value cache persists the proven ladder between runs: m -> (L(m),
 witness), where L(m) is the size of the largest 3-AP-free subset of [1..m].
-It holds every a(n) as well, since a(n) = min{m : L(m) >= n}.  File format,
-bit exact: UTF-8 with LF endings, one record per line,
+It holds every a(n) as well, since a(n) = min{m : L(m) >= n}.  File format
+as written, bit exact: UTF-8 with LF endings, one record per line, sorted by m,
 
     L <m> <L(m)> <witness>
 
-where witness is comma-separated ascending integers with no spaces.  Lines
-are sorted by m; '#' starts a comment line.  Only proven values are ever
+where witness is comma-separated ascending integers with no spaces.  The
+loader reads lines as graphs.document_lines does: CRLF and CR end a line
+too, and blank and '#' lines are skipped.  Only proven values are ever
 written.  Files written before the cache held only levels also contain
 "A <n> <a(n)> <witness>" records; the loader skips them and the next store
 drops them.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .ap3 import Ap3Engine, check_level
 from .budget import SolveBudget
-from .graphs import FormatError, read_text
+from .graphs import FormatError, document_lines, read_text
 
 # Reference results: n -> (chi_g of the complete graph on n vertices, witness).
 CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
@@ -121,12 +122,7 @@ def load_cache(path: str) -> ValueCache:
     line number.  Each L record must pass ap3.check_level, against the record
     of m-1 when the file has one, and agree with the reference table."""
     records: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # m -> (line, L, witness)
-    # split at LF only, as the format says; splitlines would also break at
-    # \f, \v, \x85 and the like, and shift the line numbers it reports
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in document_lines(read_text(path)):
         parts = line.split(" ")
         if len(parts) != 4:
             raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)

@@ -80,9 +80,19 @@ def test_parse_coloring_formats():
     assert c.palette == 3
     assert parse_coloring("1 1").palette == 2  # palette floor
     assert parse_coloring("1 2 4", palette=9).palette == 9
+    assert parse_coloring("# a path\n2 3\n\n1\r\n2\n").colors == (2, 3, 1, 2)
+    assert parse_coloring("1\u20282\x1c3").colors == (1, 2, 3)
     for bad in ("", "1 x 3", "0 1", "-2 4"):
         with pytest.raises(FormatError):
             parse_coloring(bad)
+    for bad, message in (("1 2\n3 x 4\n", "line 2: colors must be integers, got 'x'"),
+                         ("0 1", "line 1: colors must be positive, got 0"),
+                         ("# c\n\n2 -2 4\n", "line 3: colors must be positive, got -2"),
+                         ("1 2\u2028\n3\r0\n", "line 3: colors must be positive, got 0"),
+                         ("\n# no color\n", "empty coloring document")):
+        with pytest.raises(FormatError) as info:
+            parse_coloring(bad)
+        assert str(info.value) == message
 
 
 def test_reflection_preserves_validity():

@@ -128,6 +128,11 @@ def test_ap3_check():
     assert out == "3-AP-free: (1,2,4,5,10)\n"
 
 
+def test_ap3_check_rejects_a_non_integer_list():
+    assert invoke("ap3", "check", "1,x") == (
+        2, "", "error: not a comma-separated integer list: '1,x'\n")
+
+
 def test_ap3_longest():
     code, out, _ = invoke("ap3", "longest", "9")
     assert code == 0

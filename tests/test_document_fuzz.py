@@ -6,6 +6,7 @@ small: a header's n makes the parser allocate n adjacency lists."""
 
 import io
 import itertools
+import re
 
 import pytest
 
@@ -17,7 +18,8 @@ from gracecolor.cli import run  # noqa: E402
 
 MAX_N = 12
 
-_word = st.sampled_from(["x", "1.5", "-", "#", "0x1", "1_0", "١", ""])
+# "\f" and "\u2028" end a line for str.splitlines, but not in a document
+_word = st.sampled_from(["x", "1.5", "-", "#", "0x1", "1_0", "١", "", "\f", "\u2028"])
 _token = st.one_of(st.integers(-2, MAX_N + 1).map(str), _word)
 
 
@@ -57,9 +59,9 @@ def _mutated(draw, lines):
 
 @st.composite
 def _encoded(draw, lines):
-    """The document's bytes: LF or CRLF endings, at times a byte that is not
-    UTF-8."""
-    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode("utf-8")
+    """The document's bytes: LF, CRLF or CR endings, at times a byte that is
+    not UTF-8."""
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode("utf-8")
     if draw(st.booleans()):
         data += b"\n"
     at = draw(st.integers(0, len(data)))
@@ -93,6 +95,16 @@ def paths(tmp_path_factory):
     return folder / "graph.txt", folder / "coloring.txt"
 
 
+def _named_lines(err, *documents):
+    """The N of each "line N:" in err, each checked to be a line of one of
+    the documents.  bytes.splitlines ends lines at LF, CRLF and CR only, as
+    documents do."""
+    named = [int(n) for n in re.findall(r"\bline (\d+):", err)]
+    most = max(len(data.splitlines()) for data in documents)
+    assert all(n <= most for n in named), err
+    return named
+
+
 def _invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run([str(arg) for arg in argv], out, err)
@@ -112,6 +124,7 @@ def test_any_documents_are_verified_or_rejected(paths, documents):
         assert out.startswith("invalid: ") and err == ""
     else:
         assert out == "" and err.startswith("error: ")
+        _named_lines(err, *documents)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -128,3 +141,8 @@ def test_any_graph_document_is_solved_or_rejected(paths, graph):
         assert out == "" and err.startswith("budget exhausted")
     else:
         assert out == "" and err.startswith("error: ")
+        named = _named_lines(err, graph)
+        # the same document with each separator of _word made a space
+        paths[0].write_bytes(re.sub(b"\x0c|\xe2\x80\xa8", b" ", graph))
+        spaced = _invoke("solve", paths[0], "--max-nodes", "500")[2]
+        assert _named_lines(spaced, graph) == named, (err, spaced)

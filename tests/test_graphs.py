@@ -43,11 +43,15 @@ def test_from_edges_normalizes_and_validates():
 def test_parse_smallest_graphs():
     assert parse_graph("2 1\n0 1") == complete(2)
     assert parse_graph("3 3\n0 1\n1 2\n0 2") == complete(3)
+    assert parse_graph("2 1\r0 1\r") == complete(2)
+    assert parse_graph("3 2\r\n0 1\r\n\r\n1 2\r\n") == path(3)
 
 
 def test_parse_reports_self_loop_line():
     with pytest.raises(FormatError, match="line 3"):
         parse_graph("3 2\n0 1\n1 1")
+    with pytest.raises(FormatError, match="^line 3: self-loop"):
+        parse_graph("3 2\r0 1\r1 1\r")
 
 
 def test_parse_rejections():
@@ -61,6 +65,20 @@ def test_parse_rejections():
         parse_graph("3 2\n0 1")
     with pytest.raises(FormatError, match="empty"):
         parse_graph("# nothing here\n")
+    with pytest.raises(FormatError, match="^line 2: header declares m=2 edges, found 1$"):
+        parse_graph("# a header after a comment\n3 2\n0 1\n")
+    with pytest.raises(FormatError, match="^line 2: expected two integers, got '0 1 2'$"):
+        parse_graph("3 1\n0 1 2\n")
+    with pytest.raises(FormatError, match="^empty document: missing 'n m' header$"):
+        parse_graph("\n# no content line\n\n")
+
+
+@pytest.mark.parametrize("separator",
+                         ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_lf_crlf_and_cr_end_a_line(separator):
+    # str.splitlines also ends a line at these and would name line 5
+    with pytest.raises(FormatError, match="^line 4: self-loop on vertex 0$"):
+        parse_graph(f"3 2\n0 1{separator}\n1 2\n0 0\n")
 
 
 def test_parse_accepts_comments_and_blank_lines():

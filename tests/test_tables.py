@@ -97,6 +97,10 @@ def test_load_names_the_line_contradicting_the_reference(tmp_path):
     path.write_text("L 4 3 1,2,4\n# note\nL 5 3 1,2,4\n")
     with pytest.raises(FormatError, match="line 3"):
         load_cache(str(path))
+    # only LF, CRLF and CR end a line
+    path.write_bytes("L 4 3 1,2,4\x85\r\nL 6 4 1,2,5,6\u2028\rL 5 3 1,2,4\n".encode())
+    with pytest.raises(FormatError, match="^line 3: L 5 3 contradicts"):
+        load_cache(str(path))
 
 
 def test_load_empty_file(tmp_path):
