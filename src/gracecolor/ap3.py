@@ -10,6 +10,15 @@ a + c = 2b.  This module computes, with witnesses:
 L is computed as an incremental ladder: L(m) is L(m-1) or L(m-1)+1, so each
 level is a single decision search seeded with the previous level's answer,
 and every proven L value sharpens the pruning bound for later levels.
+
+A level that comes from outside the ladder, from a caller of
+Ap3Engine.seed or from a cache file, is not proven here, so it must pass
+the one level rule, check_level: its witness fits, it steps by 0 or 1 from
+the level below, and it agrees with the reference table of published
+graceful chromatic numbers of complete graphs, which fixes L(1..122).  The
+table's witnesses are embedded verbatim as fixture data so that
+transcription slips are caught by the internal-consistency test instead of
+being trusted silently.
 """
 
 from __future__ import annotations
@@ -19,6 +28,62 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
+
+
+# Reference results: n -> (chi_g of the complete graph on n vertices, witness).
+CHI_G_COMPLETE_REFERENCE: dict[int, tuple[int, tuple[int, ...]]] = {
+    2: (2, (1, 2)),
+    3: (4, (1, 2, 4)),
+    4: (5, (1, 2, 4, 5)),
+    5: (9, (1, 2, 4, 8, 9)),
+    6: (11, (1, 2, 4, 5, 10, 11)),
+    7: (13, (1, 2, 4, 5, 10, 11, 13)),
+    8: (14, (1, 2, 4, 5, 10, 11, 13, 14)),
+    9: (20, (1, 2, 6, 7, 9, 14, 15, 18, 20)),
+    10: (24, (1, 2, 5, 7, 11, 16, 18, 19, 23, 24)),
+    11: (26, (1, 2, 5, 7, 11, 16, 18, 19, 23, 24, 26)),
+    12: (30, (1, 3, 4, 8, 9, 11, 20, 22, 23, 27, 28, 30)),
+    13: (32, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 32)),
+    14: (36, (1, 2, 4, 8, 9, 13, 21, 23, 26, 27, 30, 32, 35, 36)),
+    15: (40, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40)),
+    16: (41, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41)),
+    17: (51, (1, 2, 4, 5, 10, 13, 14, 17, 31, 35, 37, 38, 40, 46, 47, 50, 51)),
+    18: (54, (1, 2, 5, 6, 12, 14, 15, 17, 21, 31, 38, 39, 42, 43, 49, 51, 52, 54)),
+    19: (58, (1, 2, 5, 6, 12, 14, 15, 17, 21, 31, 38, 39, 42, 43, 49, 51, 52, 54, 58)),
+    20: (63, (1, 2, 5, 7, 11, 16, 18, 19, 24, 26, 38, 39, 42, 44, 48, 53, 55, 56, 61,
+              63)),
+    21: (71, (1, 2, 5, 7, 10, 17, 20, 22, 26, 31, 41, 46, 48, 49, 53, 54, 63, 64, 68,
+              69, 71)),
+    22: (74, (1, 2, 7, 9, 10, 14, 20, 22, 23, 25, 29, 46, 50, 52, 53, 55, 61, 65, 66,
+              68, 73, 74)),
+    23: (82, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 49, 57, 59, 62, 63, 66, 68,
+              71, 78, 81, 82)),
+    24: (84, (1, 3, 4, 8, 9, 16, 18, 21, 22, 25, 30, 37, 48, 55, 60, 63, 64, 67, 69,
+              76, 77, 81, 82, 84)),
+    25: (92, (1, 2, 6, 8, 9, 13, 19, 21, 22, 27, 28, 39, 58, 62, 64, 67, 68, 71, 73,
+              81, 83, 86, 87, 90, 92)),
+    26: (95, (1, 2, 4, 5, 10, 11, 22, 23, 25, 26, 31, 32, 55, 56, 64, 65, 67, 68, 76,
+              77, 82, 83, 91, 92, 94, 95)),
+    27: (100, (1, 3, 6, 7, 10, 12, 20, 22, 25, 26, 29, 31, 35, 62, 66, 68, 71, 72, 75,
+               77, 85, 87, 90, 91, 94, 96, 100)),
+    28: (104, (1, 5, 7, 10, 11, 14, 16, 24, 26, 29, 30, 33, 35, 39, 66, 70, 72, 75, 76,
+               79, 81, 89, 91, 94, 95, 98, 100, 104)),
+    29: (111, (1, 2, 5, 6, 13, 15, 19, 26, 27, 30, 31, 38, 42, 44, 66, 68, 72, 77, 80,
+               81, 84, 89, 93, 95, 99, 104, 107, 108, 111)),
+    30: (114, (1, 2, 4, 9, 12, 13, 18, 19, 28, 30, 31, 33, 40, 45, 46, 69, 70, 75, 82,
+               84, 85, 87, 96, 97, 102, 103, 106, 111, 113, 114)),
+    31: (121, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41, 82, 83, 85,
+               86, 91, 92, 94, 95, 109, 110, 112, 113, 118, 119, 121)),
+    32: (122, (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41, 82, 83, 85,
+               86, 91, 92, 94, 95, 109, 110, 112, 113, 118, 119, 121, 122)),
+}
+
+# L(m) = #{n : a(n) <= m} for m = 0..122, as the reference table fixes it
+# ((m >= 1) counts a(1) = 1; a is strictly increasing and a(32) = 122, so
+# a(33) > 122).  check_level holds every level to it.
+_FIXED_LENGTHS: tuple[int, ...] = tuple(
+    (m >= 1) + sum(span <= m for span, _ in CHI_G_COMPLETE_REFERENCE.values())
+    for m in range(max(span for span, _ in CHI_G_COMPLETE_REFERENCE.values()) + 1))
 
 
 def is_ap3_free(elements: Sequence[int]) -> bool:
@@ -43,8 +108,10 @@ def check_level(m: int, value: int, witness: Sequence[int],
                 prev: int | None = None) -> None:
     """Raise ValueError unless (value, witness) is a valid record of L(m):
     the witness is a strictly increasing, 3-AP-free subset of [1..m] with
-    `value` elements, and, when L(m-1) = prev is known, value is prev or
-    prev + 1.  The O(n) tests run before the O(n^2) progression test."""
+    `value` elements, value agrees with the reference table where it fixes
+    L(m), and, when L(m-1) = prev is known, value is prev or prev + 1.  The
+    O(n) tests run before the O(n^2) progression test, and the table last,
+    so a record whose witness is at fault is told so."""
     if prev is not None and value not in (prev, prev + 1):
         raise ValueError(f"L({m})={value} inconsistent with L({m-1})={prev}")
     if len(witness) != value:
@@ -53,6 +120,9 @@ def check_level(m: int, value: int, witness: Sequence[int],
         raise ValueError(f"witness for L({m})={value} does not fit [1..{m}]")
     if not is_ap3_free(witness):  # raises first unless strictly increasing
         raise ValueError(f"witness for L({m}) contains a 3-term progression")
+    if m < len(_FIXED_LENGTHS) and value != _FIXED_LENGTHS[m]:
+        raise ValueError(f"L {m} {value} contradicts the reference table, "
+                         f"which gives {_FIXED_LENGTHS[m]}")
 
 
 @dataclass(slots=True)
@@ -83,7 +153,8 @@ class Ap3Engine:
 
     All stored levels are exact.  An engine may be seeded from a persistent
     cache of previously proven values (see gracecolor.tables); seeded entries
-    pass check_level, then are trusted.
+    pass check_level, then are trusted: up to m = 122 the reference table
+    fixes them, beyond it their refutations are taken on trust.
     """
 
     def __init__(self):
@@ -111,7 +182,8 @@ class Ap3Engine:
 
         Entries beyond the first gap are ignored (bounds need every smaller
         level).  Each adopted entry must pass check_level against the level
-        below it; an inconsistent entry raises ValueError.
+        below it; an inconsistent entry, or one that contradicts the
+        reference table, raises ValueError.
         """
         applied = 0
         m = self.frontier + 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import FormatError, Graph, document_lines
+from .graphs import FormatError, Graph, document_lines, read_ints
 
 ADJACENT_EQUAL = "adjacent-equal"
 DUPLICATE_INCIDENT_DIFFERENCE = "duplicate-incident-difference"
@@ -45,13 +45,10 @@ def parse_coloring(text: str, palette: int | None = None) -> GracefulColoring:
     or line ends.  The palette defaults to the largest color used (at least 2)."""
     colors: list[int] = []
     for lineno, line in document_lines(text):
-        for tok in line.split():
-            try:
-                colors.append(int(tok))
-            except ValueError:
-                raise FormatError(f"colors must be integers, got {tok!r}", lineno) from None
-            if colors[-1] < 1:
-                raise FormatError(f"colors must be positive, got {colors[-1]}", lineno)
+        for color in read_ints(line.split(), lineno):
+            if color < 1:
+                raise FormatError(f"colors must be positive, got {color}", lineno)
+            colors.append(color)
     if not colors:
         raise FormatError("empty coloring document")
     size = palette if palette is not None else max(max(colors), 2)

@@ -1,5 +1,6 @@
 """Simple undirected graphs: construction, named families, edge-list I/O,
-and the reader, line grammar and error type that every input file shares.
+and the reader, line grammar, integer rule and error type that every input
+file shares.  One edge rule serves Graph.from_edges and parse_graph.
 
 Vertices are the integers 0..n-1.  Graph values are immutable after
 construction and safe to share between searches.
@@ -45,6 +46,31 @@ def document_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def read_ints(tokens: list[str], line: int) -> list[int]:
+    """The integers of the tokens of one line or field of a document,
+    numbered `line`.  Each token must be ASCII digits after an optional '-';
+    int() alone would also take '+', '_', surrounding whitespace and
+    non-ASCII digits.  Unsigned tokens are tested all at once, since a test
+    per token costs a few times what int() does, and a cache file is read
+    on every cached CLI call."""
+    joined = "".join(tokens)
+    if "" in tokens or not (joined.isascii() and joined.isdigit()):
+        for tok in tokens:
+            if not (tok.isascii() and tok[tok[:1] == "-":].isdigit()):
+                raise FormatError(f"expected an integer, got {tok!r}", line)
+    return list(map(int, tokens))
+
+
+def _edge(n: int, u: int, v: int) -> tuple[int, int]:
+    """The edge uv of a graph on n vertices as (min, max); raises ValueError
+    for a self-loop or an endpoint outside 0..n-1."""
+    if u == v:
+        raise ValueError(f"self-loop on vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    return (u, v) if u < v else (v, u)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -62,14 +88,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        normalized = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            normalized.append((u, v) if u < v else (v, u))
-        normalized.sort()
+        normalized = sorted(_edge(n, u, v) for u, v in edges)
         for prev, cur in zip(normalized, normalized[1:]):
             if prev == cur:
                 raise ValueError(f"duplicate edge {cur}")
@@ -112,8 +131,9 @@ def is_connected(g: Graph) -> bool:
 # Edge-list text format.
 #
 # First line "n m"; then m lines "u v" with u < v, sorted, LF-terminated.
-# serialize_graph emits this canonical form.  parse_graph reads document_lines,
-# accepts unordered endpoints, and rejects loops, duplicates and bad indices.
+# serialize_graph emits this canonical form.  parse_graph reads document_lines
+# and read_ints, accepts unordered endpoints, and rejects what _edge rejects,
+# and duplicates, naming the line.
 # ---------------------------------------------------------------------------
 
 
@@ -122,21 +142,19 @@ def parse_graph(text: str) -> Graph:
     header: tuple[int, int, int] | None = None  # (n, m, line)
     edges: set[tuple[int, int]] = set()  # from_edges sorts them
     for lineno, line in document_lines(text):
-        try:
-            a, b = map(int, line.split())
-        except ValueError:
-            raise FormatError(f"expected two integers, got {line!r}", lineno) from None
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise FormatError(f"expected two integers, got {line!r}", lineno)
+        a, b = read_ints(tokens, lineno)
         if header is None:
             if a < 1 or b < 0:
                 raise FormatError(f"invalid header n={a} m={b}", lineno)
             header = (a, b, lineno)
             continue
-        n = header[0]
-        if a == b:
-            raise FormatError(f"self-loop on vertex {a}", lineno)
-        if not (0 <= a < n and 0 <= b < n):
-            raise FormatError(f"vertex index out of range for n={n}: {line!r}", lineno)
-        e = (a, b) if a < b else (b, a)
+        try:
+            e = _edge(header[0], a, b)
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
         if e in edges:
             raise FormatError(f"duplicate edge {e}", lineno)
         edges.add(e)

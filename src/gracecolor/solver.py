@@ -283,8 +283,12 @@ def solve_graceful_decision(g: Graph, k: int,
 
 def _chi_g(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
     """Least k with a graceful k-coloring, and its colors; raises
-    BudgetExhausted when the meter runs out first."""
-    k = max(2, graceful_lower_bound(g))  # raises unless g is connected
+    BudgetExhausted when the meter runs out first.  One vertex has a
+    graceful 1-coloring, which no palette of size >= 2 can report, so it
+    raises ValueError."""
+    if g.n < 2:
+        raise ValueError("graph needs at least two vertices")
+    k = graceful_lower_bound(g)  # raises unless g is connected; >= 2, as g has an edge
     while (witness := _decide(g, k, meter)) is None:
         k += 1
     return k, witness
@@ -295,7 +299,8 @@ def chi_g(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
 
     The budget spans the whole deepening run, on one meter made for this
     call.  Running out of budget at any level makes the whole computation
-    budget-exhausted; no unproven minimum is ever reported.
+    budget-exhausted; no unproven minimum is ever reported.  Raises
+    ValueError unless g is connected and has at least two vertices.
     """
     meter = BudgetMeter(budget)
     try:
@@ -378,7 +383,8 @@ def characterize(g: Graph, budget: SolveBudget | None = None) -> Characterizatio
 
     The two searches share one meter, so the budget bounds them together.
     Raises BudgetExhausted when it runs out before both are exact, and
-    ValueError, before the first node, unless g is connected.
+    ValueError, before the first node, unless g is connected and has at
+    least two vertices.
     """
     meter = BudgetMeter(budget)
     search = "chromatic number"

@@ -215,6 +215,16 @@ def test_seed_rejects_inconsistent_entries():
         engine2.seed({1: (1, (2,))})
 
 
+def test_seed_rejects_levels_contradicting_the_reference():
+    # each level passes the step and witness tests, but L(5) is 4, not 3:
+    # seeded, they gave L(5) = 3 and a(4) = 6 as proven
+    wrong = {1: (1, (1,)), 2: (2, (1, 2)), 3: (2, (1, 2)), 4: (3, (1, 2, 4)),
+             5: (3, (1, 2, 4))}
+    with pytest.raises(ValueError, match="reference"):
+        Ap3Engine().seed(wrong)
+    assert Ap3Engine().longest(5).value == 4
+
+
 def test_seed_ignores_entries_after_gap():
     source = Ap3Engine()
     source.longest(10)

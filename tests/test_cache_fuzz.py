@@ -36,7 +36,8 @@ def _span(level):
 
 _token = st.one_of(st.integers(-3, 130).map(str),
                    st.lists(st.integers(-2, 20), max_size=8).map(_csv),
-                   st.sampled_from(["", "x", "1,,2", "L", "A", "B", "1.5"]))
+                   st.sampled_from(["", "x", "1,,2", "L", "A", "B", "1.5",
+                                    "+1", "0_1", "\u0663", "\uff11"]))
 
 
 @st.composite

@@ -85,7 +85,12 @@ def test_parse_coloring_formats():
     for bad in ("", "1 x 3", "0 1", "-2 4"):
         with pytest.raises(FormatError):
             parse_coloring(bad)
-    for bad, message in (("1 2\n3 x 4\n", "line 2: colors must be integers, got 'x'"),
+    assert parse_coloring("05 1").colors == (5, 1)
+    for bad, message in (("1 2\n3 x 4\n", "line 2: expected an integer, got 'x'"),
+                         ("1\n+1\n", "line 2: expected an integer, got '+1'"),
+                         ("1 0_1\n", "line 1: expected an integer, got '0_1'"),
+                         ("1\n\n2 \u0663\n", "line 3: expected an integer, got '\u0663'"),
+                         ("\uff11\n", "line 1: expected an integer, got '\uff11'"),
                          ("0 1", "line 1: colors must be positive, got 0"),
                          ("# c\n\n2 -2 4\n", "line 3: colors must be positive, got -2"),
                          ("1 2\u2028\n3\r0\n", "line 3: colors must be positive, got 0"),

@@ -107,6 +107,16 @@ def test_disconnected_graph_is_usage_error(tmp_path):
         assert err.startswith("error: ") and "connected" in err, command
 
 
+def test_one_vertex_graph_has_no_graceful_search(tmp_path):
+    # one vertex has a graceful 1-coloring; no search reports chi_g = 2 for it
+    graph = tmp_path / "one-vertex.txt"
+    graph.write_text("1 0\n")
+    for command in ("solve", "characterize"):
+        assert invoke(command, str(graph)) == \
+            (2, "", "error: graph needs at least two vertices\n"), command
+    assert invoke("chromatic", str(graph))[:2] == (0, "chi = 1\nwitness: 1\nnodes: 0\n")
+
+
 def test_complete_output_format():
     code, out, _ = invoke("complete", "5")
     assert code == 0
@@ -425,7 +435,7 @@ def test_cache_inconsistent_beyond_reference_is_io_error(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("one two three\n", "integers"),
+    ("one two three\n", "line 1: expected an integer, got 'one'"),
     ("1 2\n", "coloring has 2 entries for a graph on 3 vertices"),
 ], ids=["not-integers", "wrong-length"])
 def test_verify_malformed_coloring_is_parse_error(tmp_path, p3_file, text, message):

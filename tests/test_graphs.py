@@ -55,7 +55,7 @@ def test_parse_reports_self_loop_line():
 
 
 def test_parse_rejections():
-    with pytest.raises(FormatError, match="two integers"):
+    with pytest.raises(FormatError, match="^line 2: expected an integer, got 'x'$"):
         parse_graph("2 1\n0 x")
     with pytest.raises(FormatError, match="out of range"):
         parse_graph("2 1\n0 5")
@@ -71,6 +71,16 @@ def test_parse_rejections():
         parse_graph("3 1\n0 1 2\n")
     with pytest.raises(FormatError, match="^empty document: missing 'n m' header$"):
         parse_graph("\n# no content line\n\n")
+    # an integer is ASCII digits after an optional '-'; int() takes more
+    for text, token in (("+1 0\n", "+1"), ("2 1\n0_1 1\n", "0_1"),
+                        ("2 1\n0 \u0663\n", "\u0663"), ("2 1\n\uff11 0\n", "\uff11")):
+        line = text[:text.index(token)].count("\n") + 1
+        with pytest.raises(FormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {line}: expected an integer, got {token!r}"
+    with pytest.raises(FormatError, match="^line 2: edge \\(0, -2\\) out of range for n=2$"):
+        parse_graph("2 1\n0 -2\n")
+    assert parse_graph("02 01\n00 01\n") == complete(2)
 
 
 @pytest.mark.parametrize("separator",

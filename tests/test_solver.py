@@ -103,7 +103,7 @@ def test_chi_g_known_values(build, expected):
 
 
 def test_chi_g_matches_brute_force_up_to_4_vertices():
-    for n in range(1, 5):
+    for n in range(2, 5):  # one vertex: test_single_vertex_graph
         for g in all_connected_graphs(n):
             report = chi_g(g)
             assert report.value == brute_force_chi_g(g), g.edges
@@ -423,11 +423,13 @@ def test_characterize_budget_exhaustion_raises():
 
 
 def test_single_vertex_graph():
+    # one vertex has a graceful 1-coloring, and a palette has at least two colors
     g = star(1)
-    report = chi_g(g)
-    assert report.status == SOLVED
-    assert report.value == 2  # palettes start at two colors
+    for search in (chi_g, characterize):
+        with pytest.raises(ValueError, match="^graph needs at least two vertices$"):
+            search(g)
     assert chromatic_number(g).value == 1
+    assert solve_graceful_decision(g, 2).status == SOLVED
 
 
 def test_result_fields():

@@ -62,6 +62,8 @@ def test_cache_validates_entries():
         check_level(5, 2, (5, 2))
     with pytest.raises(ValueError, match="inconsistent"):
         check_level(5, 4, (1, 2, 4, 5), prev=2)
+    with pytest.raises(ValueError, match="^L 5 3 contradicts the reference table"):
+        check_level(5, 3, (1, 2, 4))
     check_level(5, 4, (1, 2, 4, 5), prev=3)
     check_level(5, 4, (1, 2, 4, 5), prev=4)
 
@@ -135,6 +137,18 @@ def test_load_rejects_malformed_lines(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError, match=match):
             load_cache(str(path))
+    # an integer is ASCII digits after an optional '-'; int() takes more
+    for text, token in (("L 1 1 1\nL 2 2 +1,2\n", "+1"), ("L 0_1 1 1\n", "0_1"),
+                        ("L 4 3 1,2,4\nL 3 2 1,\u0663\n", "\u0663"),
+                        ("L 5 4 \uff11,2,4,5\n", "\uff11")):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_cache(str(path))
+        line = text.count("\n")
+        assert str(info.value) == f"line {line}: expected an integer, got {token!r}"
+    path.write_text("L 5 04 01,2,4,05\n")
+    assert load_cache(str(path)).levels == {5: (4, (1, 2, 4, 5))}
 
 
 def test_load_accepts_comments_and_blanks(tmp_path):
@@ -149,7 +163,7 @@ def test_load_skips_span_records_but_checks_their_fields(tmp_path):
     path.write_text("A 4 5 1,2,4,5\nA 5 10 1,2,4,8,10\nA 3 9 9,9\nL 2 2 1,2\n")
     assert load_cache(str(path)).levels == {2: (2, (1, 2))}
     for text, match in (("L 2 2 1,2\nA 4 5\n", "line 2: expected 4 fields"),
-                        ("A 4 five 1,2,4,5\n", "line 1: bad integer")):
+                        ("A 4 five 1,2,4,5\n", "line 1: expected an integer, got 'five'")):
         path.write_text(text)
         with pytest.raises(FormatError, match=match):
             load_cache(str(path))
