@@ -31,8 +31,8 @@ from . import ap3, solver, tables
 from .budget import BudgetExhausted, SolveBudget
 from .checking import parse_coloring, verify_graceful
 from .complete import chi_g_complete
-from .graphs import (FAMILY_TAGS, FormatError, GraphFamily, parse_graph, read_text,
-                     serialize_graph)
+from .graphs import (FAMILY_TAGS, FormatError, GraphFamily, parse_graph, read_ints,
+                     read_text, serialize_graph)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,6 +47,15 @@ CACHE_ENV_VAR = "GRACECOLOR_CACHE"
 T = TypeVar("T")
 
 
+def _integer(token: str) -> int:
+    """The argparse type of every integer argument: the documents' rule,
+    graphs.read_ints, which refuses '+1', '0_2' and non-ASCII digits."""
+    try:
+        return read_ints([token])[0]
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it acts on: all take --records, the
     # searching ones also a budget, and the ladder ones, which read and extend
@@ -55,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--records", action="store_true",
                         help="line-oriented machine-readable output")
     search = argparse.ArgumentParser(add_help=False, parents=[common])
-    search.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+    search.add_argument("--max-nodes", type=_integer, default=DEFAULT_MAX_NODES,
                         metavar="N", help="search node limit (default %(default)s)")
     search.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
                         metavar="S", help="wall-clock limit (default %(default)s)")
@@ -72,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_verify)
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.add_argument("--palette", type=int, default=None,
+    p.add_argument("--palette", type=_integer, default=None,
                    help="palette size l (default: largest color used)")
 
     for name, handler in (("solve", _solve), ("chromatic", _chromatic),
@@ -83,28 +92,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complete", parents=[ladder])
     p.set_defaults(handler=_complete)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = sub.add_parser("ap3")
     ap3_sub = p.add_subparsers(dest="ap3_command", required=True)
     q = ap3_sub.add_parser("longest", parents=[ladder])
     q.set_defaults(handler=_ap3_longest)
-    q.add_argument("m", type=int)
+    q.add_argument("m", type=_integer)
     q = ap3_sub.add_parser("minspan", parents=[ladder])
     q.set_defaults(handler=_ap3_minspan)
-    q.add_argument("k", type=int)
+    q.add_argument("k", type=_integer)
     q = ap3_sub.add_parser("check", parents=[common])
     q.set_defaults(handler=_ap3_check)
     q.add_argument("elements", help="comma-separated integers")
 
     p = sub.add_parser("table", parents=[ladder])
     p.set_defaults(handler=_table)
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_integer)
 
     p = sub.add_parser("gen", parents=[common])
     p.set_defaults(handler=_gen)
     p.add_argument("family", choices=FAMILY_TAGS)
-    p.add_argument("params", nargs="+", type=int)
+    p.add_argument("params", nargs="+", type=_integer)
 
     return parser
 
@@ -272,8 +281,8 @@ def _ap3_minspan(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
-        values = tuple(int(tok) for tok in args.elements.split(","))
-    except ValueError:
+        values = tuple(read_ints(args.elements.split(",")))
+    except FormatError:
         raise ValueError(f"not a comma-separated integer list: {args.elements!r}") from None
     ordered = tuple(sorted(set(values)))
     free = ap3.is_ap3_free(ordered)

@@ -1,6 +1,7 @@
 """Simple undirected graphs: construction, named families, edge-list I/O,
 and the reader, line grammar, integer rule and error type that every input
-file shares.  One edge rule serves Graph.from_edges and parse_graph.
+file shares.  One edge rule serves Graph.from_edges and parse_graph, and
+each checks an edge once.
 
 Vertices are the integers 0..n-1.  Graph values are immutable after
 construction and safe to share between searches.
@@ -46,11 +47,11 @@ def document_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_ints(tokens: list[str], line: int) -> list[int]:
+def read_ints(tokens: list[str], line: int | None = None) -> list[int]:
     """The integers of the tokens of one line or field of a document,
-    numbered `line`.  Each token must be ASCII digits after an optional '-';
-    int() alone would also take '+', '_', surrounding whitespace and
-    non-ASCII digits.  Unsigned tokens are tested all at once, since a test
+    numbered `line`, or of one command-line argument, which has no line.
+    Each token must be ASCII digits after an optional '-'; int() alone would
+    also take '+', '_', surrounding whitespace and non-ASCII digits.  Unsigned tokens are tested all at once, since a test
     per token costs a few times what int() does, and a cache file is read
     on every cached CLI call."""
     joined = "".join(tokens)
@@ -88,10 +89,18 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        normalized = sorted(_edge(n, u, v) for u, v in edges)
-        for prev, cur in zip(normalized, normalized[1:]):
+        g = cls._build(n, [_edge(n, u, v) for u, v in edges])
+        for prev, cur in zip(g.edges, g.edges[1:]):
             if prev == cur:
                 raise ValueError(f"duplicate edge {cur}")
+        return g
+
+    @classmethod
+    def _build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on n >= 1 vertices with these edges, which the caller has
+        checked: each is (min, max) as _edge returns it, and none repeats.
+        Sorts them."""
+        normalized = sorted(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
             adj[u].append(v)
@@ -140,7 +149,7 @@ def is_connected(g: Graph) -> bool:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document; raises FormatError with line numbers."""
     header: tuple[int, int, int] | None = None  # (n, m, line)
-    edges: set[tuple[int, int]] = set()  # from_edges sorts them
+    edges: set[tuple[int, int]] = set()  # checked here; Graph._build sorts them
     for lineno, line in document_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
@@ -162,7 +171,7 @@ def parse_graph(text: str) -> Graph:
         raise FormatError("empty document: missing 'n m' header")
     if len(edges) != header[1]:
         raise FormatError(f"header declares m={header[1]} edges, found {len(edges)}", header[2])
-    return Graph.from_edges(header[0], edges)
+    return Graph._build(header[0], edges)
 
 
 def serialize_graph(g: Graph) -> str:

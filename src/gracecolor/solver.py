@@ -10,10 +10,17 @@ per-node cap/count/time check of this module.  A kernel supplies only its
 propagation rule: after vertex x gets color c, the rule returns the child's
 domains and the colors worth trying next, or None when a domain empties.
 
-Graceful rule.  A domain holds exactly the colors y for which the colored
-vertices plus v = y still form a graceful partial coloring.  After x gets
-color c, only the constraints that involve x are new, and each is applied
-once per node:
+Graceful rule.  A domain holds the colors y for which the colored vertices
+plus v = y still form a graceful partial coloring, and that v's degree can
+reach.  The second part is the degree-reach cut, applied once, to the
+start domains: in a graceful k-coloring a vertex v of color c and degree d
+has d neighbors of d distinct colors, none of them c, since two neighbors
+of one color would give two edges at v one color.  So the d edge colors
+|c - cu| at v are distinct values in 1..max(c - 1, k - c), and d <=
+max(c - 1, k - c): c is open at v only if c <= k - d or c >= d + 1.  At k
+<= max degree this empties the domain of a vertex of maximum degree, and
+the palette is refuted before the first node.  After x gets color c, only
+the constraints that involve x are new, and each is applied once per node:
   1. Every uncolored neighbor of x loses {c} and {cw, 2c - cw} for each
      colored neighbor w of x: y = c repeats x's color, and y = cw or
      2c - cw gives edge xv the color |c - cw| of edge xw.  The set does not
@@ -30,10 +37,11 @@ once per node:
 These are all the ways a graceful coloring can fail around a new vertex:
 its color is proper, the edge colors at a colored neighbor differ, and the
 edge colors at the uncolored vertex differ.
-Every color of 1..k is worth trying, except at the first vertex, the
+Every open color is worth trying, except at the first vertex, the
 highest-degree one, which tries only colors up to ceil(k/2): reflecting
-every color x to k+1-x preserves gracefulness, so half the palette suffices
-there.  The graceful chromatic number is found by iterative deepening, k =
+every color x to k+1-x preserves gracefulness, and it maps the colors the
+cut leaves open at v onto themselves, so half the palette suffices there.
+The graceful chromatic number is found by iterative deepening, k =
 lower_bound, lower_bound+1, ..., and the first success is exact because
 every smaller k was refuted exhaustively.
 
@@ -133,25 +141,28 @@ _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] |
 _Undo = Callable[[int, int], None]
 
 
-def _search(g: Graph, palette: int, first: int, propagate: _Rule,
+def _search(g: Graph, palette: int, first: int, domains: list[int], propagate: _Rule,
             meter: BudgetMeter, undo: _Undo | None = None) -> tuple[int, ...] | None:
     """Color every vertex from 1..palette as propagate allows, or prove it
     cannot be done.  Returns per-vertex colors or None.
 
-    first is the bitmask of colors worth trying at the first vertex.  After
-    colors[x] = c, propagate(x, c, colors, domains, allowed) returns the child
-    domains and the colors worth trying next, or None to prune.  When the
-    search comes back up to x, still colored c, from the child it descended
-    to, it calls undo(x, c) if given, so a rule may keep state along the
-    branch.  The frame being searched lives in locals and a tuple is pushed
+    domains holds each vertex's start domain, a bitmask of colors in
+    1..palette; if one is empty, the search returns None before its first
+    node.  first is the bitmask of colors worth trying at the first vertex.
+    After colors[x] = c, propagate(x, c, colors, domains, allowed) returns
+    the child domains and the colors worth trying next, or None to prune.
+    When the search comes back up to x, still colored c, from the child it
+    descended to, it calls undo(x, c) if given, so a rule may keep state
+    along the branch.  The frame being searched lives in locals and a tuple is pushed
     only on descent: reading and writing stack[-1] at every node made the
     graceful corpus about 10 % slower.
     """
+    if not all(domains):
+        return None
     order = _search_order(g)
     nodes = stop = 0
     colors = [0] * g.n
     x = order[0]
-    domains = [(1 << (palette + 1)) - 2] * g.n
     allowed = first
     todo = domains[x] & allowed
     stack: list[tuple[int, int, list[int], int]] = []
@@ -257,8 +268,10 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
         for v in adj[x]:
             nbr[v] ^= own
 
+    # the degree-reach cut: at a vertex of degree d, colors 1..k-d and d+1..k
+    start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in map(len, adj)]
     half = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    return _search(g, k, half, propagate, meter, undo)
+    return _search(g, k, half, start, propagate, meter, undo)
 
 
 def solve_graceful_decision(g: Graph, k: int,
@@ -349,7 +362,7 @@ def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
                 nd[v] = mask
         return nd, (allowed | 2 << c) & full
 
-    return _search(g, k, 0b10, propagate, meter)  # color 1 first
+    return _search(g, k, 0b10, [full] * g.n, propagate, meter)  # color 1 first
 
 
 def _chromatic(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:

@@ -114,21 +114,28 @@ def _graceful_on(edges, colors) -> bool:
 def reference_graceful_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None, int]:
     """The graceful decision search with every domain recomputed from the
     definition at every node: y is open at an uncolored v iff the colored
-    vertices plus v = y are gracefully colored on the edges among them.
-    Same order as the solver: the next vertex has the fewest open colors,
-    ties to the higher degree and then the lower index; the first one tries
-    colors 1..ceil(k/2); colors ascend; a node is one color tried at one
-    vertex.  Returns (colors or None, nodes)."""
+    vertices plus v = y are gracefully colored on the edges among them, and
+    the palette holds as many distinct nonzero differences |y - z| as v has
+    edges, which must all get distinct colors.  Same order as the solver:
+    the next vertex has the fewest open colors, ties to the higher degree
+    and then the lower index; the first one tries its open colors up to
+    ceil(k/2); colors ascend; a node is one color tried at one vertex.  A
+    vertex with no open color before the first node gives (None, 0).
+    Returns (colors or None, nodes)."""
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
     rank = {v: i for i, v in enumerate(order)}
     colors = [0] * g.n
     nodes = 0
 
+    def reaches(v, y):
+        return len({abs(y - z) for z in range(1, k + 1) if z != y}) >= len(g.adjacency[v])
+
     def open_colors(v):
         found = []
         for y in range(1, k + 1):
             colors[v] = y
-            if _graceful_on([e for e in g.edges if colors[e[0]] and colors[e[1]]], colors):
+            if reaches(v, y) and _graceful_on(
+                    [e for e in g.edges if colors[e[0]] and colors[e[1]]], colors):
                 found.append(y)
         colors[v] = 0
         return found
@@ -148,7 +155,10 @@ def reference_graceful_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None,
         colors[x] = 0
         return False
 
-    found = extend(order[0], range(1, (k + 1) // 2 + 1))
+    start = {v: open_colors(v) for v in range(g.n)}
+    if not all(start.values()):
+        return None, 0
+    found = extend(order[0], [y for y in start[order[0]] if y <= (k + 1) // 2])
     return (tuple(colors) if found else None), nodes
 
 

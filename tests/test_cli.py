@@ -206,6 +206,20 @@ def test_usage_errors():
     assert invoke("ap3", "longest", "5", "--max-seconds", "nan")[0] == 2
 
 
+@pytest.mark.parametrize("token", ["+1", "0_2", "٣", "１"])
+def test_integer_arguments_follow_the_documents_rule(k4_file, token):
+    # ASCII digits after an optional '-', as graphs.read_ints reads documents
+    for argv in (("complete", token), ("ap3", "longest", token), ("ap3", "minspan", token),
+                 ("table", token), ("gen", "path", token), ("solve", k4_file, "--max-nodes", token),
+                 ("verify", k4_file, k4_file, "--palette", token)):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        assert f"expected an integer, got {token!r}" in err, argv
+    elements = f"{token},3,4"
+    assert invoke("ap3", "check", elements) == (
+        2, "", f"error: not a comma-separated integer list: {elements!r}\n")
+
+
 def test_argparse_writes_to_the_streams_it_is_given(capsys):
     code, out, err = invoke("solve")
     assert (code, out) == (2, "") and err.startswith("usage: gracecolor solve")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gracecolor import graphs
 from gracecolor.graphs import (
     Graph,
     GraphFamily,
@@ -94,6 +95,15 @@ def test_only_lf_crlf_and_cr_end_a_line(separator):
 def test_parse_accepts_comments_and_blank_lines():
     g = parse_graph("# a triangle\n3 3\n\n0 1\n1 2\n# middle\n0 2\n")
     assert g == complete(3)
+
+
+def test_parse_checks_each_edge_once(monkeypatch):
+    k6 = complete(6)
+    calls = []
+    real = graphs._edge
+    monkeypatch.setattr(graphs, "_edge", lambda n, u, v: calls.append((u, v)) or real(n, u, v))
+    assert parse_graph(serialize_graph(k6)) == k6
+    assert len(calls) == len(k6.edges)
 
 
 def test_serialize_canonical():

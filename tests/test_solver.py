@@ -14,6 +14,7 @@ from gracecolor.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    max_degree,
     path,
     random_tree,
     star,
@@ -185,6 +186,27 @@ def test_trees_solved_within_node_cap():
         assert (report.status, report.value) == (SOLVED, expected), (n, seed)
 
 
+@pytest.mark.parametrize("g", [star(6), wheel(7), complete(5)], ids=["S6", "W7", "K5"])
+def test_palette_up_to_max_degree_is_refuted_before_the_first_node(g):
+    # a vertex of maximum degree d needs d distinct edge colors, which no
+    # color of a palette k <= d leaves room for
+    for k in range(2, max_degree(g) + 1):
+        report = solve_graceful_decision(g, k)
+        assert (report.status, report.nodes) == (INFEASIBLE, 0), k
+
+
+@pytest.mark.parametrize("name,build,value,cap", [
+    ("tree2000", lambda: random_tree(2000, 1), 7, 2_100),
+    ("Q6", lambda: hypercube(6), 10, 2_000),
+])
+def test_degree_reach_cut_keeps_sparse_graphs_within_node_cap(name, build, value, cap):
+    # without the cut on start domains, both run past a million nodes
+    g = build()
+    report = chi_g(g, SolveBudget(max_nodes=cap))
+    assert (report.status, report.value) == (SOLVED, value)
+    assert verify_graceful(g, report.witness).valid
+
+
 def test_chromatic_tree_solved_within_node_cap():
     # a search that colors vertices in a fixed degree order spends this whole
     # cap looking for the 2-coloring; the fail-first one needs 200 nodes
@@ -196,15 +218,15 @@ def test_chromatic_tree_solved_within_node_cap():
 
 
 @pytest.mark.parametrize("build,value,nodes", [
-    (lambda: complete_bipartite(3, 4), 7, 101),
-    (lambda: complete_bipartite(4, 5), 9, 1373),
+    (lambda: complete_bipartite(3, 4), 7, 17),
+    (lambda: complete_bipartite(4, 5), 9, 145),
     (lambda: wheel(8), 8, 8),
     (lambda: cycle(7), 4, 7),
-    (lambda: complete(6), 11, 4853),
-    (lambda: random_tree(39, 39), 6, 585),
-    (lambda: random_tree(40, 2), 5, 51),
-    (lambda: complete(7), 13, 35242),
-    (lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 5453),
+    (lambda: complete(6), 11, 4020),
+    (lambda: random_tree(39, 39), 6, 41),
+    (lambda: random_tree(40, 2), 5, 41),
+    (lambda: complete(7), 13, 30529),
+    (lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805),
 ])
 def test_chi_g_nodes_are_pinned(build, value, nodes):
     # node counts of the graceful kernel; a change to its order, propagation
