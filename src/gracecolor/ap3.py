@@ -86,21 +86,44 @@ _FIXED_LENGTHS: tuple[int, ...] = tuple(
     for m in range(max(span for span, _ in CHI_G_COMPLETE_REFERENCE.values()) + 1))
 
 
-def is_ap3_free(elements: Sequence[int]) -> bool:
-    """True iff no pair a < c in the set has its midpoint in the set.
+# Past this span per member, is_ap3_free tests pairs: its masks would cost
+# O(span) per step, and memory that grows with the values it is given.
+_MASK_SPAN_PER_ELEMENT = 1024
 
-    Input must be strictly increasing.  Pairs with odd a+c have no integer
-    midpoint and are skipped.
+
+def is_ap3_free(elements: Sequence[int]) -> bool:
+    """True iff no three members a < b < c satisfy a + c = 2b.
+
+    Input must be strictly increasing; zero and negative members are allowed.
+    With offsets p = x - min and s the largest offset, the forward mask has
+    bit p for each member and the mirror mask bit s - p.  For a middle member
+    at offset q, forward >> (q + 1) has bit i for the member at q + 1 + i, and
+    mirror >> (s + 1 - q) bit i for the member at q - 1 - i, so the two meet
+    exactly when q is the midpoint of two members: O(n) big-int steps in all.
+    A set sparser than _MASK_SPAN_PER_ELEMENT per member has its pairs tested
+    instead, in O(n^2) steps.
     """
     xs = list(elements)
     for prev, cur in zip(xs, xs[1:]):
         if prev >= cur:
             raise ValueError("input must be strictly increasing without duplicates")
-    members = set(xs)
-    for i, a in enumerate(xs):
-        for c in xs[i + 1:]:
-            if (a + c) % 2 == 0 and (a + c) // 2 in members:
-                return False
+    if len(xs) < 3:
+        return True
+    low, high = xs[0], xs[-1]
+    if high - low > _MASK_SPAN_PER_ELEMENT * len(xs):
+        members = set(xs)
+        for i, a in enumerate(xs):
+            for c in xs[i + 1:]:
+                if (a + c) % 2 == 0 and (a + c) // 2 in members:
+                    return False
+        return True
+    forward = mirror = 0
+    for x in xs:
+        forward |= 1 << (x - low)
+        mirror |= 1 << (high - x)
+    for x in xs[1:-1]:
+        if mirror >> (high + 1 - x) & forward >> (x - low + 1):
+            return False
     return True
 
 
@@ -110,8 +133,8 @@ def check_level(m: int, value: int, witness: Sequence[int],
     the witness is a strictly increasing, 3-AP-free subset of [1..m] with
     `value` elements, value agrees with the reference table where it fixes
     L(m), and, when L(m-1) = prev is known, value is prev or prev + 1.  The
-    O(n) tests run before the O(n^2) progression test, and the table last,
-    so a record whose witness is at fault is told so."""
+    O(1) tests run before the O(n) progression test, and the table last, so
+    a record whose witness is at fault is told so."""
     if prev is not None and value not in (prev, prev + 1):
         raise ValueError(f"L({m})={value} inconsistent with L({m-1})={prev}")
     if len(witness) != value:

@@ -90,24 +90,34 @@ def load_cache(path: str) -> ValueCache:
 
 
 def store_cache(cache: ValueCache, path: str) -> None:
-    """Write the cache sorted by m; atomic via temp file + rename.  The file
-    keeps the mode of the one it replaces; a new one gets the mode that
-    open(path, "w") would give it."""
-    lines = [f"L {m} {value} {','.join(map(str, witness))}\n"
-             for m, (value, witness) in sorted(cache.levels.items())]
+    """Write the cache sorted by m; atomic via temp file + rename.  A file
+    that already holds exactly these bytes is left as it is: its inode, mode
+    and mtime do not change.  A replaced file keeps its mode; a new one gets
+    the mode that open(path, "w") would give it."""
+    data = "".join(f"L {m} {value} {','.join(map(str, witness))}\n"
+                   for m, (value, witness) in sorted(cache.levels.items())).encode("utf-8")
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st = os.stat(path)
     except FileNotFoundError:
         # the umask is read by setting it; the strictest value stands in meanwhile
         umask = os.umask(0o077)
         os.umask(umask)
         mode = 0o666 & ~umask
+    else:
+        if st.st_size == len(data):
+            try:
+                with open(path, "rb") as handle:
+                    if handle.read() == data:
+                        return
+            except OSError:  # unreadable: replaced like any other file
+                pass
+        mode = stat.S_IMODE(st.st_mode)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(fd, mode)
-            handle.writelines(lines)
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -20,6 +20,8 @@ def test_is_ap3_free_examples():
     assert is_ap3_free(())
     assert is_ap3_free((7,))
     assert is_ap3_free((3, 9))
+    assert not is_ap3_free((-4, 0, 4))
+    assert is_ap3_free((-3, -2, 0))
 
 
 def test_is_ap3_free_requires_strictly_increasing():
@@ -30,11 +32,27 @@ def test_is_ap3_free_requires_strictly_increasing():
 
 
 def test_is_ap3_free_matches_triple_scan():
+    # random sets over -20..260 of sizes 0..32, every reference witness, and
+    # each witness with one element moved; each set is tested as given, where
+    # the masks decide, and stretched by 2048, where the pairs do
     rng = random.Random(555)
-    for _ in range(500):
-        size = rng.randint(0, 10)
-        s = tuple(sorted(rng.sample(range(1, 40), size)))
-        assert is_ap3_free(s) == (not contains_progression(s))
+    sets = [tuple(sorted(rng.sample(range(-20, 261), rng.randint(0, 32))))
+            for _ in range(600)]
+    for _, witness in CHI_G_COMPLETE_REFERENCE.values():
+        sets.append(witness)
+        for x in witness:
+            moved = rng.choice([y for y in range(-20, 261) if y not in witness])
+            sets.append(tuple(sorted({*witness, moved} - {x})))
+    for s in sets:
+        free = not contains_progression(s)
+        assert is_ap3_free(s) == free, s
+        assert is_ap3_free(tuple(2048 * x - 7 for x in s)) == free, s
+
+
+def test_is_ap3_free_takes_sparse_sets_of_any_span():
+    # masks over these spans would need 10**18 bits
+    assert is_ap3_free((0, 1, 10 ** 18))
+    assert not is_ap3_free((-10 ** 18, 0, 10 ** 18))
 
 
 # -- longest subsets -------------------------------------------------------------

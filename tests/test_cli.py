@@ -377,6 +377,22 @@ def test_cached_levels_are_checked_once_at_load_and_once_at_seed(tmp_path, monke
     assert len(calls) == 2 * 40
 
 
+def test_ladder_command_writes_the_cache_only_when_its_bytes_change(tmp_path):
+    cache = tmp_path / "cache.txt"
+    assert invoke("ap3", "longest", "20", "--cache", str(cache))[0] == 0
+    os.utime(cache, ns=(10 ** 18, 10 ** 18))
+    inode = cache.stat().st_ino
+    for argv in (("complete", "6"), ("ap3", "minspan", "8"), ("ap3", "longest", "20"),
+                 ("table", "7")):
+        assert invoke(*argv, "--cache", str(cache)) == invoke(*argv), argv
+        assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (inode, 10 ** 18), argv
+    assert os.listdir(tmp_path) == ["cache.txt"]
+    assert invoke("ap3", "longest", "21", "--cache", str(cache))[0] == 0
+    assert cache.stat().st_ino != inode
+    assert cache.read_text().splitlines()[-1].startswith("L 21 ")
+    assert os.listdir(tmp_path) == ["cache.txt"]
+
+
 def test_cache_env_var_default(tmp_path, monkeypatch):
     cache = tmp_path / "env-cache.txt"
     monkeypatch.setenv("GRACECOLOR_CACHE", str(cache))

@@ -218,15 +218,16 @@ def test_chromatic_tree_solved_within_node_cap():
 
 
 @pytest.mark.parametrize("build,value,nodes", [
-    (lambda: complete_bipartite(3, 4), 7, 17),
-    (lambda: complete_bipartite(4, 5), 9, 145),
-    (lambda: wheel(8), 8, 8),
-    (lambda: cycle(7), 4, 7),
-    (lambda: complete(6), 11, 4020),
-    (lambda: random_tree(39, 39), 6, 41),
-    (lambda: random_tree(40, 2), 5, 41),
-    (lambda: complete(7), 13, 30529),
-    (lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805),
+    pytest.param(lambda: complete_bipartite(3, 4), 7, 17, id="K3,4"),
+    pytest.param(lambda: complete_bipartite(4, 5), 9, 145, id="K4,5"),
+    pytest.param(lambda: wheel(8), 8, 8, id="W8"),
+    pytest.param(lambda: cycle(7), 4, 7, id="C7"),
+    pytest.param(lambda: complete(6), 11, 4020, id="K6"),
+    pytest.param(lambda: random_tree(39, 39), 6, 41, id="tree39s39"),
+    pytest.param(lambda: random_tree(40, 2), 5, 41, id="tree40s2"),
+    pytest.param(lambda: complete(7), 13, 30529, id="K7"),
+    pytest.param(lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805,
+                 id="gnp10p6s5"),
 ])
 def test_chi_g_nodes_are_pinned(build, value, nodes):
     # node counts of the graceful kernel; a change to its order, propagation

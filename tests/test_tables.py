@@ -211,6 +211,34 @@ def test_store_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode):
     assert path.read_text() == "L 1 1 1\n"
 
 
+def test_store_of_identical_content_leaves_the_file_as_it_is(tmp_path):
+    path = tmp_path / "cache.txt"
+    cache = ValueCache({1: (1, (1,)), 2: (2, (1, 2))})
+    store_cache(cache, str(path))
+    path.chmod(0o640)
+    os.utime(path, ns=(10 ** 18, 10 ** 18))
+    before = path.stat()
+    store_cache(cache, str(path))
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns, stat.S_IMODE(after.st_mode)) == \
+           (before.st_ino, 10 ** 18, 0o640)
+    assert sorted(os.listdir(tmp_path)) == ["cache.txt"]
+
+
+@pytest.mark.parametrize("text", ["L 1 1 1\r\nL 2 2 1,2\r\n",
+                                  "L 1 1 1\nA 2 2 1,2\nL 2 2 1,2\n",
+                                  "L 1 1 1\n",
+                                  "L 1 1 1\nL 2 2 2,1\n"],
+                         ids=["crlf", "span-record", "grown", "same-size"])
+def test_store_replaces_a_file_whose_bytes_differ(tmp_path, text):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(text.encode())
+    inode = path.stat().st_ino
+    store_cache(ValueCache({1: (1, (1,)), 2: (2, (1, 2))}), str(path))
+    assert path.read_bytes() == b"L 1 1 1\nL 2 2 1,2\n"
+    assert path.stat().st_ino != inode
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_store_gives_a_new_file_the_mode_open_would(tmp_path, umask):
     old = os.umask(umask)
