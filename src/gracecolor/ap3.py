@@ -8,8 +8,14 @@ a + c = 2b.  This module computes, with witnesses:
           3-AP-free set of positive integers.
 
 L is computed as an incremental ladder: L(m) is L(m-1) or L(m-1)+1, so each
-level is a single decision search seeded with the previous level's answer,
-and every proven L value sharpens the pruning bound for later levels.
+level is a decision seeded with the previous level's answer, and every
+proven L value sharpens the pruning bound for later levels.  A level is
+decided by a search over lower-heavy sets only, those with no more members
+above the middle of [1..m] than below it: each set or its reflection
+x -> m+1-x is one of these, and the search refutes in fewer nodes.  Only
+when that search finds a set does a second search, which keeps every set
+that can be lexicographically first, find the level's witness; so where
+L grows, the witness is the lexicographically first set.
 
 A level that comes from outside the ladder, from a caller of
 Ap3Engine.seed or from a cache file, is not proven here, so it must pass
@@ -243,9 +249,13 @@ class Ap3Engine:
     def _climb(self, unfinished: Callable[[], bool],
                budget: SolveBudget | None) -> tuple[SearchStats, bool]:
         """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
-        attainable, else L(m-1).  Every level draws on one meter, and
-        stats.nodes is that meter's count.  Returns the stats and whether the
-        climb finished before the budget ran out."""
+        attainable, else L(m-1).  The halves search, over lower-heavy sets
+        only, decides the level; only when it finds a set does the capped
+        search find the lexicographically first one, which is the level's
+        witness.  A level the budget stops in either search is not recorded.
+        Every level draws on one meter, and stats.nodes is that meter's
+        count.  Returns the stats and whether the climb finished before the
+        budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
         proven = True
@@ -253,9 +263,11 @@ class Ap3Engine:
             while unfinished():
                 m = len(self._lengths)
                 target = self._lengths[m - 1] + 1
-                found = _find_of_size(m, target, self._lengths, meter, stats)
+                found = _find_of_size(m, target, self._lengths, meter, stats, first=False)
                 if found is None:
                     target, found = target - 1, self._witnesses[m - 1]
+                elif target > 2:  # a smaller target has one set, {1, m}: found
+                    found = _find_of_size(m, target, self._lengths, meter, stats, first=True)
                 self._lengths.append(target)
                 self._witnesses.append(found)
         except BudgetExhausted:
@@ -269,10 +281,20 @@ def _upto(x: int) -> int:
     return (2 << x) - 1 if x >= 0 else 0
 
 
-def _find_of_size(m: int, target: int, lengths: Sequence[int],
-                  meter: BudgetMeter, stats: SearchStats) -> tuple[int, ...] | None:
-    """Find the lexicographically first 3-AP-free subset of [1..m] with
-    exactly `target` = L(m-1) + 1 elements, or prove that none exists.
+def _halves_limit(m: int, size: int, need: int) -> int:
+    """Largest candidate v, with `need` interior members still to follow it,
+    that a lower-heavy `size`-element set with endpoints 1 and m can hold.
+    An upper v (2v > m+1) makes v, the need members after it and m upper:
+    need + 2 members, of at most size // 2."""
+    return m if need + 2 <= size // 2 else m // 2
+
+
+def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMeter,
+                  stats: SearchStats, first: bool) -> tuple[int, ...] | None:
+    """Find a 3-AP-free subset of [1..m] with exactly `target` = L(m-1) + 1
+    elements, or prove that none exists.  With `first` the set found is the
+    lexicographically first one; without it, it is the first lower-heavy one
+    the search meets.  Either search returns None exactly when no set exists.
 
     Endpoints.  Every such set S contains both 1 and m: without 1 it lies in
     [2..m], without m in [1..m-1], and either window is a translate of
@@ -282,12 +304,26 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     chosen a, 1 included, blocks its midpoint with m; a progression through 1
     ends in 2b-1 and is blocked like any other forward completion.
 
-    Reflection.  x -> m+1-x maps such sets onto such sets.  If the largest
-    interior element of S exceeds m+1-s2, where s2 is the second element,
-    then the reflection of S has a smaller second element, so S is not the
-    lexicographically first witness.  Hence the search may keep every later
-    interior element <= cap = m+1-s2 without losing that witness, and refutes
-    a level exactly when the unrestricted search would.
+    Reflection.  x -> m+1-x maps such sets onto such sets.  Each search
+    breaks this symmetry by one rule and keeps a member of every pair
+    {S, reflection of S}; two rules together could each keep a different
+    member of one pair and so lose both, so a search uses only one.
+
+    Halves (without `first`).  A member x is lower when 2x < m+1 and upper
+    when 2x > m+1.  The middle (m+1)/2 of an odd m would be neither, but it
+    is the midpoint of 1 and m, so S never holds it.  Reflection swaps the
+    halves, so S or its reflection is lower-heavy: it has no more upper than
+    lower members, hence at most target // 2 upper members.  An upper
+    candidate v brings need+2 upper members (v, the `need` elements after
+    it, and m), so it is open only while need+2 <= target // 2; otherwise
+    _halves_limit closes the upper half.  This search refutes a level in
+    fewer nodes than the capped one.
+
+    Cap (with `first`).  If the largest interior element of S exceeds
+    m+1-s2, where s2 is the second element, then the reflection of S has a
+    smaller second element, so S is not the lexicographically first witness.
+    Hence the search may keep every later interior element <= cap = m+1-s2
+    without losing that witness.
 
     Search.  Depth first over interior candidates in increasing order, in
     one loop on an explicit stack; the frame being searched lives in locals.
@@ -297,18 +333,20 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     the chosen set with bit 2m-a for each chosen a.  Choosing v drops the
     values 2v-a, which are mirror >> 2(m-v), and its midpoint with m.  The
     witness is read back from the mirror on success.  The bottom frame
-    chooses s2 and fixes the cap of its branch.
+    chooses s2, and with `first` fixes the cap of its branch.
 
     Window masks.  A candidate v followed by `need` more elements must leave
-    room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); v and
-    they lie in [v..cap], so need+1 <= L(cap+1-v).  Both bounds fall as v
-    grows, so each admits a prefix of the candidates, v <= m+1-a(need+2)
-    and v <= cap+1-a(need+1), with a(n) found in `lengths` by bisection.
-    window[need] masks that prefix; it is computed once per s2 branch (the
-    s2 frame's window also holds s2 <= cap).  Candidates are taken lowest
-    first, so a frame ends as soon as its lowest open candidate leaves its
-    window.  A candidate also needs `need` open candidates above it (the
-    popcount test); that count only falls, so a failure ends the frame.
+    room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); under
+    the cap, v and they lie in [v..cap], so need+1 <= L(cap+1-v).  Both
+    bounds fall as v grows, so each admits a prefix of the candidates,
+    v <= m+1-a(need+2) and v <= cap+1-a(need+1), with a(n) found in
+    `lengths` by bisection, as the halves limit does.  window[need] masks
+    the prefix they all admit; without `first` it is computed once per
+    level, with it once per s2 branch (the s2 frame's window also holds
+    s2 <= cap).  Candidates are taken lowest first, so a frame ends as soon
+    as its lowest open candidate leaves its window.  A candidate also needs
+    `need` open candidates above it (the popcount test); that count only
+    falls, so a failure ends the frame.
 
     Check before push.  A child frame is pushed only if it has an open
     candidate in window[need-1] (a prefix, so its lowest one is in it) and
@@ -332,9 +370,15 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
     m2 = 2 * m
     mids = [0 if (v + m) & 1 else 1 << ((v + m) >> 1) for v in range(m)]
     top = target - 3  # interior elements still to place after s2
-    window = [0] * (top + 1)
-    window[top] = _upto(min((m + 1) >> 1, m + 1 - span[top + 2],
-                            (m + 2 - span[top + 1]) >> 1))
+    if first:
+        window = [0] * (top + 1)
+        window[top] = _upto(min((m + 1) >> 1, m + 1 - span[top + 2],
+                                (m + 2 - span[top + 1]) >> 1))
+        cap_need = top  # the need of the frame whose choice, s2, sets the cap
+    else:
+        window = [_upto(min(m + 1 - span[n + 2], _halves_limit(m, target, n)))
+                  for n in range(top + 1)]
+        cap_need = -1
     need, free, mirror = top, ((1 << m) - 4) & ~mids[1], 1 << (m2 - 1)
     w = window[top]
     stack: list[tuple[int, int, int]] = []
@@ -362,7 +406,7 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int],
             if not need:
                 return (*(m2 - i for i in range(m2 - 1, m, -1) if mirror >> i & 1), v, m)
             child = free & ~(mirror >> (m2 - 2 * v) | mids[v])
-            if need == top:  # v is s2
+            if need == cap_need:  # v is s2
                 cap = m + 1 - v
                 child &= _upto(cap)
                 for n in range(top):

@@ -237,3 +237,27 @@ def longest_by_enumeration(m: int) -> tuple[int, tuple[int, ...]]:
             break
         best, best_set = size, found
     return best, best_set
+
+
+def ended_progression_free_sets(m: int):
+    """Every progression-free subset of [1..m] that holds both 1 and m, as a
+    sorted tuple: depth-first extension in increasing order, where a new
+    largest member c is refused when some a < b in the set has a + c = 2b."""
+    def extend(chosen):
+        if chosen[-1] == m:
+            yield tuple(chosen)
+            return
+        for c in range(chosen[-1] + 1, m + 1):
+            if not any((a + c) % 2 == 0 and (a + c) // 2 in chosen for a in chosen):
+                chosen.append(c)
+                yield from extend(chosen)
+                chosen.pop()
+    yield from extend([1])
+
+
+def is_lower_heavy(values, m: int) -> bool:
+    """No more members x with 2x > m + 1 (the upper half of [1..m]) than
+    with 2x < m + 1 (the lower half); the middle of an odd m is in neither."""
+    upper = sum(2 * x > m + 1 for x in values)
+    lower = sum(2 * x < m + 1 for x in values)
+    return upper <= lower

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from gracecolor.ap3 import Ap3Engine, is_ap3_free
-from gracecolor.budget import SolveBudget
+from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _halves_limit,
+                            is_ap3_free)
+from gracecolor.budget import BudgetMeter, SolveBudget
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
-from support import contains_progression, longest_by_enumeration
+from support import (contains_progression, ended_progression_free_sets, is_lower_heavy,
+                     longest_by_enumeration)
 
 # -- membership ----------------------------------------------------------------
 
@@ -110,6 +112,62 @@ def test_ladder_digest_up_to_84():
                    for m, value, witness in engine.proven_levels())
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1213af38720b33f75433c099ffa67f03593ce917009161476dfdb93c5b351136")
+
+
+def test_cold_ladder_nodes_are_pinned_at_63():
+    # a looser window keeps every value and witness; only the count shows it
+    assert Ap3Engine().longest(63).stats.nodes == 476_962
+
+
+# -- the two searches of a level ------------------------------------------------
+
+
+def test_halves_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
+    # the lemma by enumeration: of each ended set S and its reflection
+    # x -> m+1-x, at least one has no more upper than lower members, and in
+    # each such set every interior member v, followed by `need` interior
+    # members, lies within the limit the halves search gives that need.  No
+    # set holds the middle (m+1)/2, the midpoint of 1 and m, which the limit
+    # closes with the upper half
+    for m in range(1, 23):
+        for s in ended_progression_free_sets(m):
+            assert m < 3 or m % 2 == 0 or (m + 1) // 2 not in s, (m, s)
+            pair = {s, tuple(sorted(m + 1 - x for x in s))}
+            heavy = [r for r in pair if is_lower_heavy(r, m)]
+            assert heavy, (m, s)
+            for r in heavy:
+                for i, v in enumerate(r[1:-1], start=1):
+                    assert v <= _halves_limit(m, len(r), len(r) - 2 - i), (m, r, v)
+
+
+def test_halves_and_capped_searches_agree_on_every_level_up_to_50():
+    engine = Ap3Engine()
+    engine.longest(50)
+    witnesses = {m: witness for m, _, witness in engine.proven_levels()}
+    lengths = [0] + [engine.length(m) for m in range(1, 50)]
+    for m in range(3, 51):
+        target = lengths[m - 1] + 1
+        halves, first = (_find_of_size(m, target, lengths[:m], BudgetMeter(None),
+                                       SearchStats(), first=lexicographic)
+                         for lexicographic in (False, True))
+        assert (halves is None) == (first is None) == (engine.length(m) < target), m
+        if halves is not None:
+            assert len(halves) == target and (halves[0], halves[-1]) == (1, m)
+            assert not contains_progression(halves) and is_lower_heavy(halves, m)
+            assert first == witnesses[m]
+
+
+def test_budget_spent_inside_the_witness_search_records_no_level():
+    # L(20) = 9 > L(19) = 8.  The climb's last node is the one that completes
+    # the capped search's witness at m = 20, so one node less stops the climb
+    # in that search, after the halves search has found a set
+    full = Ap3Engine().longest(20)
+    below = Ap3Engine().longest(19)
+    engine = Ap3Engine()
+    result = engine.longest(20, SolveBudget(max_nodes=full.stats.nodes - 1))
+    assert (result.proven, result.value, result.witness) == (False, 8, below.witness)
+    assert engine.frontier == 19
+    assert engine.longest(20).witness == full.witness == CHI_G_COMPLETE_REFERENCE[9][1]
 
 
 def test_longest_monotone_with_unit_steps():

@@ -420,6 +420,16 @@ def test_exhausted_ladder_command_stores_its_proven_levels(tmp_path, argv):
     assert len(stored.splitlines()) < len(full.read_text().splitlines())
 
 
+def test_ladder_stopped_in_its_witness_search_stores_no_such_level(tmp_path):
+    # one node short of the cold climb to L(20) = 9 stops it in the search
+    # for the first 9-set, after another search has shown that one exists
+    cache = tmp_path / "cache.txt"
+    cap = ap3.Ap3Engine().longest(20).stats.nodes - 1
+    code, out, _ = invoke("ap3", "longest", "20", "--max-nodes", str(cap), "--cache", str(cache))
+    assert (code, out.splitlines()[0]) == (3, "L(20) = 8 (unproven lower bound)")
+    assert cache.read_text().splitlines()[-1].startswith("L 19 8 ")
+
+
 def test_cache_in_a_missing_directory_fails_before_the_search(tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "table_report", lambda *a: pytest.fail("searched"))
     cache = os.path.join(str(tmp_path), "no-such-dir", "c.txt")

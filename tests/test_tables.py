@@ -279,7 +279,7 @@ def test_table_report_unproven_rows_on_tiny_budget():
     assert all(row.computed is None for row in rows)
 
 
-@pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 6), (200, 8),
+@pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 4), (200, 7),
                                          (1000, 10), (2000, 11)])
 def test_table_report_budget_midway_never_wrong(cap, proven):
     rows = table_report(12, SolveBudget(max_nodes=cap))
