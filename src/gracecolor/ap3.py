@@ -9,13 +9,30 @@ a + c = 2b.  This module computes, with witnesses:
 
 L is computed as an incremental ladder: L(m) is L(m-1) or L(m-1)+1, so each
 level is a decision seeded with the previous level's answer, and every
-proven L value sharpens the pruning bound for later levels.  A level is
-decided by a search over lower-heavy sets only, those with no more members
-above the middle of [1..m] than below it: each set or its reflection
-x -> m+1-x is one of these, and the search refutes in fewer nodes.  Only
-when that search finds a set does a second search, which keeps every set
-that can be lexicographically first, find the level's witness; so where
-L grows, the witness is the lexicographically first set.
+proven L value sharpens the pruning bound for later levels.
+
+Where the reference table below puts a(t) at m, for t = L(m-1)+1, the
+level is certified rather than searched: the table's witness passes
+check_level, the same rule a seeded level passes, and that proves
+L(m) = t.  The witness gives L(m) >= t; and L(m) <= L(m-1)+1 = t, since
+removing m from a subset of [1..m] leaves a subset of [1..m-1].  A wrong
+table cannot make a value wrong: a witness that fails check_level is
+ignored and the level searched; a table that puts a(t) too late is
+overtaken, as the search at the true level finds a set first; and it
+cannot put a(t) too early, as its witness would have to be a valid t-set
+within [1..m].  Every flat level, where L(m) = L(m-1), is still refuted
+by search, and past the table, beyond m = 122, every level is searched.
+
+A searched level is decided by a search over lower-heavy sets only, those
+with no more members above the middle of [1..m] than below it: each set or
+its reflection x -> m+1-x is one of these, and the search refutes in fewer
+nodes.  Only when that search finds a set does a second search, which
+keeps every set that can be lexicographically first, find the level's
+witness; so where a search finds that L grows, the witness is the
+lexicographically first set.  The table's witnesses of a(2..26) are those
+sets too, as a searched climb to L(95) finds, so below a(27) = 100 no
+witness depends on how its level was proven; for a(27..32) the recorded
+witness is the table's.
 
 A level that comes from outside the ladder, from a caller of
 Ap3Engine.seed or from a cache file, is not proven here, so it must pass
@@ -183,7 +200,10 @@ class Ap3Engine:
     All stored levels are exact.  An engine may be seeded from a persistent
     cache of previously proven values (see gracecolor.tables); seeded entries
     pass check_level, then are trusted: up to m = 122 the reference table
-    fixes them, beyond it their refutations are taken on trust.
+    fixes them, beyond it their refutations are taken on trust.  A level
+    where L grows to a value the reference table places there is certified
+    by the table's witness, which passes the same check_level; every other
+    level is searched.
     """
 
     def __init__(self):
@@ -249,13 +269,16 @@ class Ap3Engine:
     def _climb(self, unfinished: Callable[[], bool],
                budget: SolveBudget | None) -> tuple[SearchStats, bool]:
         """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
-        attainable, else L(m-1).  The halves search, over lower-heavy sets
-        only, decides the level; only when it finds a set does the capped
-        search find the lexicographically first one, which is the level's
-        witness.  A level the budget stops in either search is not recorded.
-        Every level draws on one meter, and stats.nodes is that meter's
-        count.  Returns the stats and whether the climb finished before the
-        budget ran out."""
+        attainable, else L(m-1).  Where the reference table gives
+        a(L(m-1) + 1) = m and its witness passes check_level, that witness
+        proves L(m) = L(m-1) + 1 (see the module docstring) for one node.
+        Otherwise the halves search, over lower-heavy sets only, decides the
+        level; only when it finds a set does the capped search find the
+        lexicographically first one, which is the level's witness.  A level
+        the budget stops in either search, or at its certifying node, is not
+        recorded.  Every level draws on one meter, and stats.nodes is that
+        meter's count.  Returns the stats and whether the climb finished
+        before the budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
         proven = True
@@ -263,17 +286,37 @@ class Ap3Engine:
             while unfinished():
                 m = len(self._lengths)
                 target = self._lengths[m - 1] + 1
-                found = _find_of_size(m, target, self._lengths, meter, stats, first=False)
-                if found is None:
-                    target, found = target - 1, self._witnesses[m - 1]
-                elif target > 2:  # a smaller target has one set, {1, m}: found
-                    found = _find_of_size(m, target, self._lengths, meter, stats, first=True)
+                found = _reference_witness(m, target, self._lengths[m - 1])
+                if found is not None:
+                    meter.next_stop(0)
+                    meter.spend(1)
+                else:
+                    found = _find_of_size(m, target, self._lengths, meter, stats, first=False)
+                    if found is None:
+                        target, found = target - 1, self._witnesses[m - 1]
+                    elif target > 2:  # a smaller target has one set, {1, m}: found
+                        found = _find_of_size(m, target, self._lengths, meter, stats,
+                                              first=True)
                 self._lengths.append(target)
                 self._witnesses.append(found)
         except BudgetExhausted:
             proven = False
         stats.nodes = meter.nodes
         return stats, proven
+
+
+def _reference_witness(m: int, target: int, prev: int) -> tuple[int, ...] | None:
+    """The reference table's witness for a(target), if the table puts
+    a(target) at m and that witness passes check_level as L(m) = target
+    over L(m-1) = prev; otherwise None."""
+    span, witness = CHI_G_COMPLETE_REFERENCE.get(target, (None, ()))
+    if span != m:
+        return None
+    try:
+        check_level(m, target, witness, prev)
+    except ValueError:
+        return None
+    return witness
 
 
 def _upto(x: int) -> int:

@@ -56,6 +56,18 @@ def _integer(token: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seconds(token: str) -> float:
+    """The argparse type of --max-seconds: ASCII digits with an optional
+    '.' and fraction, or 'inf' for no limit; float() alone would also take
+    '+', '_', surrounding whitespace, non-ASCII digits, 'infinity' and
+    'nan'."""
+    whole, dot, fraction = token.partition(".")
+    if token == "inf" or (token.isascii() and whole.isdigit()
+                          and (fraction.isdigit() or not dot)):
+        return float(token)
+    raise argparse.ArgumentTypeError(f"expected seconds or 'inf', got {token!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it acts on: all take --records, the
     # searching ones also a budget, and the ladder ones, which read and extend
@@ -66,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False, parents=[common])
     search.add_argument("--max-nodes", type=_integer, default=DEFAULT_MAX_NODES,
                         metavar="N", help="search node limit (default %(default)s)")
-    search.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS,
+    search.add_argument("--max-seconds", type=_seconds, default=DEFAULT_MAX_SECONDS,
                         metavar="S", help="wall-clock limit (default %(default)s)")
     ladder = argparse.ArgumentParser(add_help=False, parents=[search])
     ladder.add_argument("--cache", metavar="PATH",

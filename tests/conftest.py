@@ -1,4 +1,9 @@
-"""Pytest hooks: print a PASS/FAIL line per acceptance criterion after the run."""
+"""Pytest hooks: print a PASS/FAIL line per acceptance criterion after the
+run; and the fixture that makes the ladder search every level."""
+
+import pytest
+
+from gracecolor import ap3
 
 _acceptance_reports = []
 
@@ -23,3 +28,12 @@ def pytest_terminal_summary(terminalreporter):
         else:
             status = "FAIL"
         terminalreporter.write_line(f"{status}  {name}")
+
+
+@pytest.fixture
+def searched_ladder(monkeypatch):
+    """Hide the reference table from the ladder's climb, which then searches
+    every level, as it does past L(122), instead of checking the table's
+    witness where L grows.  check_level still holds each level to the L
+    values the table fixes, which are computed once, at import."""
+    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", {})

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gracecolor import ap3
 from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _halves_limit,
                             is_ap3_free)
 from gracecolor.budget import BudgetMeter, SolveBudget
@@ -87,9 +88,9 @@ def test_longest_matches_enumeration_oracle_up_to_20():
             assert got.witness[0] == 1 and got.witness[-1] == m
 
 
-def test_new_level_witnesses_are_pinned_up_to_63():
-    # where L grows, the ladder's witness is the lexicographically first
-    # maximum set, the one the reference table records for a(L)
+def test_new_level_witnesses_are_pinned_up_to_63(searched_ladder):
+    # where L grows, the searched ladder's witness is the lexicographically
+    # first maximum set, the one the reference table records for a(L)
     engine = Ap3Engine()
     engine.longest(63)
     previous = 0
@@ -103,9 +104,15 @@ def test_new_level_witnesses_are_pinned_up_to_63():
 
 @pytest.mark.skipif(not os.environ.get("GRACECOLOR_EXTENDED"),
                     reason="optional tier: set GRACECOLOR_EXTENDED=1 (about a minute)")
-def test_ladder_digest_up_to_84():
+@pytest.mark.parametrize("climb", ["certified", "searched"])
+def test_ladder_digest_up_to_84(request, climb):
     # lines "m L(m) witness" for m = 1..84, hashed, as pinned from a run of
-    # the kernel: any change to a value or a witness moves the digest
+    # the kernel: any change to a value or a witness moves the digest.  The
+    # certified climb checks the table's witnesses of a(2..26), which are the
+    # ones the search finds; the searched climb is the only check of the
+    # kernel's own values and witnesses past L(63)
+    if climb == "searched":
+        request.getfixturevalue("searched_ladder")
     engine = Ap3Engine()
     assert engine.longest(84).proven
     text = "".join(f"{m} {value} {','.join(map(str, witness))}\n"
@@ -114,9 +121,51 @@ def test_ladder_digest_up_to_84():
         "1213af38720b33f75433c099ffa67f03593ce917009161476dfdb93c5b351136")
 
 
-def test_cold_ladder_nodes_are_pinned_at_63():
+def test_cold_ladder_nodes_are_pinned_at_63(searched_ladder):
     # a looser window keeps every value and witness; only the count shows it
     assert Ap3Engine().longest(63).stats.nodes == 476_962
+
+
+def test_certified_ladder_nodes_are_pinned_at_63():
+    # 300,561 nodes refute the flat levels; each of the 20 levels where L
+    # grows costs one: m = 1, whose only set is {1}, and the certified
+    # a(2..20)
+    assert Ap3Engine().longest(63).stats.nodes == 300_581
+
+
+def climbed_levels(m):
+    engine = Ap3Engine()
+    result = engine.longest(m)
+    return list(engine.proven_levels()), result.stats.nodes
+
+
+def test_certified_and_searched_climbs_agree_up_to_63(request):
+    certified, _ = climbed_levels(63)
+    request.getfixturevalue("searched_ladder")
+    assert climbed_levels(63)[0] == certified
+
+
+# A valid 9-set spanning [1..21], one past a(9) = 20
+_NINE_SPANNING_21 = (1, 2, 4, 5, 12, 14, 15, 17, 21)
+
+
+@pytest.mark.parametrize("entry", [
+    (20, (1, 2, 6, 7, 9, 14, 16, 18, 20)),  # holds 14, 16, 18
+    (20, (2, 3, 7, 8, 10, 15, 16, 19, 21)),  # misses 20: a(9)'s set shifted up
+    (21, _NINE_SPANNING_21),  # a(9) placed one level late
+    (21, CHI_G_COMPLETE_REFERENCE[9][1]),  # a true witness under a wrong span
+], ids=["progression", "misses-m", "late", "span-not-its-witness"])
+def test_a_faulty_reference_entry_is_searched_past(monkeypatch, entry):
+    # a(9) = 20.  The climb checks a table entry only at the level the entry
+    # names, and only through check_level, so a faulty a(9) climbs to 30
+    # exactly as a table without a(9) does: same values, witnesses and nodes
+    assert len(_NINE_SPANNING_21) == 9 and is_ap3_free(_NINE_SPANNING_21)
+    want, _ = climbed_levels(30)
+    without = {n: e for n, e in CHI_G_COMPLETE_REFERENCE.items() if n != 9}
+    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", without)
+    _, searched_nodes = climbed_levels(30)
+    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", {**without, 9: entry})
+    assert climbed_levels(30) == (want, searched_nodes)
 
 
 # -- the two searches of a level ------------------------------------------------
@@ -157,14 +206,27 @@ def test_halves_and_capped_searches_agree_on_every_level_up_to_50():
             assert first == witnesses[m]
 
 
-def test_budget_spent_inside_the_witness_search_records_no_level():
+def test_budget_spent_inside_the_witness_search_records_no_level(searched_ladder):
     # L(20) = 9 > L(19) = 8.  The climb's last node is the one that completes
     # the capped search's witness at m = 20, so one node less stops the climb
     # in that search, after the halves search has found a set
     full = Ap3Engine().longest(20)
     below = Ap3Engine().longest(19)
+    assert full.stats.nodes > below.stats.nodes + 1  # m = 20 is searched, not certified
     engine = Ap3Engine()
     result = engine.longest(20, SolveBudget(max_nodes=full.stats.nodes - 1))
+    assert (result.proven, result.value, result.witness) == (False, 8, below.witness)
+    assert engine.frontier == 19
+    assert engine.longest(20).witness == full.witness == CHI_G_COMPLETE_REFERENCE[9][1]
+
+
+def test_budget_spent_at_a_certified_level_records_no_level():
+    # the certified level m = 20 costs one node, the climb's last
+    full = Ap3Engine().longest(20)
+    below = Ap3Engine().longest(19)
+    assert full.stats.nodes == below.stats.nodes + 1
+    engine = Ap3Engine()
+    result = engine.longest(20, SolveBudget(max_nodes=below.stats.nodes))
     assert (result.proven, result.value, result.witness) == (False, 8, below.witness)
     assert engine.frontier == 19
     assert engine.longest(20).witness == full.witness == CHI_G_COMPLETE_REFERENCE[9][1]

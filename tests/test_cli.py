@@ -206,6 +206,19 @@ def test_usage_errors():
     assert invoke("ap3", "longest", "5", "--max-seconds", "nan")[0] == 2
 
 
+@pytest.mark.parametrize("token", ["5", "0.25", "inf", "٥", "1_0", " 5", "+5", "-1",
+                                   "infinity", "nan", "Inf", "5.", ".5", "1e3", ""])
+def test_max_seconds_takes_digits_with_a_fraction_or_inf(token):
+    # ASCII digits with an optional '.' and fraction, or inf, as the README
+    # says; float() would also read every refused token but the empty one
+    code, out, err = invoke("ap3", "longest", "5", "--max-seconds", token)
+    if token in ("5", "0.25", "inf"):
+        assert (code, out, err) == (0, "L(5) = 4\nwitness: 1,2,4,5\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert f"argument --max-seconds: expected seconds or 'inf', got {token!r}" in err
+
+
 @pytest.mark.parametrize("token", ["+1", "0_2", "٣", "１"])
 def test_integer_arguments_follow_the_documents_rule(k4_file, token):
     # ASCII digits after an optional '-', as graphs.read_ints reads documents
@@ -420,11 +433,13 @@ def test_exhausted_ladder_command_stores_its_proven_levels(tmp_path, argv):
     assert len(stored.splitlines()) < len(full.read_text().splitlines())
 
 
-def test_ladder_stopped_in_its_witness_search_stores_no_such_level(tmp_path):
-    # one node short of the cold climb to L(20) = 9 stops it in the search
-    # for the first 9-set, after another search has shown that one exists
+def test_ladder_stopped_in_its_witness_search_stores_no_such_level(tmp_path, searched_ladder):
+    # one node short of the cold searched climb to L(20) = 9 stops it in the
+    # search for the first 9-set, after another search has shown that one
+    # exists
     cache = tmp_path / "cache.txt"
     cap = ap3.Ap3Engine().longest(20).stats.nodes - 1
+    assert cap > ap3.Ap3Engine().longest(19).stats.nodes  # m = 20 is searched, not certified
     code, out, _ = invoke("ap3", "longest", "20", "--max-nodes", str(cap), "--cache", str(cache))
     assert (code, out.splitlines()[0]) == (3, "L(20) = 8 (unproven lower bound)")
     assert cache.read_text().splitlines()[-1].startswith("L 19 8 ")

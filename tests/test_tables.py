@@ -279,9 +279,11 @@ def test_table_report_unproven_rows_on_tiny_budget():
     assert all(row.computed is None for row in rows)
 
 
-@pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 4), (200, 7),
-                                         (1000, 10), (2000, 11)])
+@pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 7), (200, 8),
+                                         (802, 10), (2000, 11)])
 def test_table_report_budget_midway_never_wrong(cap, proven):
+    # the climb to a(12) = 30 takes 803 nodes; 30 and 200 stop it in the
+    # searches of m = 17 and m = 22, and 802 at the certified level m = 30
     rows = table_report(12, SolveBudget(max_nodes=cap))
     for row in rows:
         if row.status == "ok":
