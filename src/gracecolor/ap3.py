@@ -26,13 +26,18 @@ by search, and past the table, beyond m = 122, every level is searched.
 A searched level is decided by a search over lower-heavy sets only, those
 with no more members above the middle of [1..m] than below it: each set or
 its reflection x -> m+1-x is one of these, and the search refutes in fewer
-nodes.  Only when that search finds a set does a second search, which
-keeps every set that can be lexicographically first, find the level's
-witness; so where a search finds that L grows, the witness is the
-lexicographically first set.  The table's witnesses of a(2..26) are those
-sets too, as a searched climb to L(95) finds, so below a(27) = 100 no
-witness depends on how its level was proven; for a(27..32) the recorded
-witness is the table's.
+nodes.  It holds each candidate to the lower-count window.  A lower-heavy
+t-set has at least t - t//2 members in the lower half [1..m//2].  A
+candidate v with `need` interior members still to follow it comes after
+t-2-need chosen members, so v and the members after it must supply at
+least r = need+2 - t//2 lower members, all in [v..m//2].  When r >= 1
+that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r).  Only when that
+search finds a set does a second search, which keeps every set that can be
+lexicographically first, find the level's witness; so where a search finds
+that L grows, the witness is the lexicographically first set.  The table's
+witnesses of a(2..26) are those sets too, as a searched climb to L(95)
+finds, so below a(27) = 100 no witness depends on how its level was proven;
+for a(27..32) the recorded witness is the table's.
 
 A level that comes from outside the ladder, from a caller of
 Ap3Engine.seed or from a cache file, is not proven here, so it must pass
@@ -272,13 +277,15 @@ class Ap3Engine:
         attainable, else L(m-1).  Where the reference table gives
         a(L(m-1) + 1) = m and its witness passes check_level, that witness
         proves L(m) = L(m-1) + 1 (see the module docstring) for one node.
-        Otherwise the halves search, over lower-heavy sets only, decides the
-        level; only when it finds a set does the capped search find the
-        lexicographically first one, which is the level's witness.  A level
-        the budget stops in either search, or at its certifying node, is not
-        recorded.  Every level draws on one meter, and stats.nodes is that
-        meter's count.  Returns the stats and whether the climb finished
-        before the budget ran out."""
+        Otherwise the halves search decides the level: it looks only at
+        lower-heavy sets, and holds each candidate to the lower-count window,
+        which leaves room below the middle of [1..m] for the lower members
+        the set still owes.  Only when it finds a set does the capped search
+        find the lexicographically first one, which is the level's witness.
+        A level the budget stops in either search, or at its certifying
+        node, is not recorded.  Every level draws on one meter, and
+        stats.nodes is that meter's count.  Returns the stats and whether
+        the climb finished before the budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
         proven = True
@@ -324,12 +331,14 @@ def _upto(x: int) -> int:
     return (2 << x) - 1 if x >= 0 else 0
 
 
-def _halves_limit(m: int, size: int, need: int) -> int:
+def _lower_limit(m: int, size: int, need: int, span: Sequence[int]) -> int:
     """Largest candidate v, with `need` interior members still to follow it,
-    that a lower-heavy `size`-element set with endpoints 1 and m can hold.
-    An upper v (2v > m+1) makes v, the need members after it and m upper:
-    need + 2 members, of at most size // 2."""
-    return m if need + 2 <= size // 2 else m // 2
+    that a lower-heavy `size`-element set with endpoints 1 and m can hold,
+    given span[r] = a(r).  v and the members after it owe the set
+    r = need + 2 - size // 2 lower members, all in [v..m//2], so for r >= 1
+    v <= m//2 + 1 - a(r); the proof is under "Halves" in _find_of_size."""
+    r = need + 2 - size // 2
+    return m if r <= 0 else m // 2 + 1 - span[r]
 
 
 def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMeter,
@@ -352,15 +361,18 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     {S, reflection of S}; two rules together could each keep a different
     member of one pair and so lose both, so a search uses only one.
 
-    Halves (without `first`).  A member x is lower when 2x < m+1 and upper
-    when 2x > m+1.  The middle (m+1)/2 of an odd m would be neither, but it
-    is the midpoint of 1 and m, so S never holds it.  Reflection swaps the
-    halves, so S or its reflection is lower-heavy: it has no more upper than
-    lower members, hence at most target // 2 upper members.  An upper
-    candidate v brings need+2 upper members (v, the `need` elements after
-    it, and m), so it is open only while need+2 <= target // 2; otherwise
-    _halves_limit closes the upper half.  This search refutes a level in
-    fewer nodes than the capped one.
+    Halves (without `first`).  A member x is lower when 2x < m+1, that is
+    x <= m//2, and upper when 2x > m+1.  The middle (m+1)/2 of an odd m
+    would be neither, but it is the midpoint of 1 and m, so S never holds
+    it.  Reflection swaps the halves, so S or its reflection is lower-heavy:
+    it has no more upper than lower members, hence at least
+    target - target//2 lower members.  A candidate v comes after
+    target-2-need chosen members, so at most that many lower ones; v and the
+    `need` elements after it must supply the other r = need+2 - target//2,
+    all in [v..m//2].  When r >= 1 that needs r <= L(m//2+1-v), that is
+    v <= m//2+1-a(r), the lower-count window of _lower_limit; at r = 1 it
+    closes the upper half, and when r <= 0 it leaves every candidate open.
+    This search refutes a level in fewer nodes than the capped one.
 
     Cap (with `first`).  If the largest interior element of S exceeds
     m+1-s2, where s2 is the second element, then the reflection of S has a
@@ -380,16 +392,17 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
 
     Window masks.  A candidate v followed by `need` more elements must leave
     room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); under
-    the cap, v and they lie in [v..cap], so need+1 <= L(cap+1-v).  Both
-    bounds fall as v grows, so each admits a prefix of the candidates,
-    v <= m+1-a(need+2) and v <= cap+1-a(need+1), with a(n) found in
-    `lengths` by bisection, as the halves limit does.  window[need] masks
-    the prefix they all admit; without `first` it is computed once per
-    level, with it once per s2 branch (the s2 frame's window also holds
-    s2 <= cap).  Candidates are taken lowest first, so a frame ends as soon
-    as its lowest open candidate leaves its window.  A candidate also needs
-    `need` open candidates above it (the popcount test); that count only
-    falls, so a failure ends the frame.
+    the cap, v and they lie in [v..cap], so need+1 <= L(cap+1-v); without
+    `first`, the lower members still owed need r <= L(m//2+1-v).  Each
+    bound falls as v grows, so each admits a prefix of the candidates,
+    v <= m+1-a(need+2), v <= cap+1-a(need+1) and v <= m//2+1-a(r), with
+    a(n) found in `lengths` by bisection.  window[need] masks the prefix
+    they all admit; without `first` it is computed once per level, with it
+    once per s2 branch (the s2 frame's window also holds s2 <= cap).
+    Candidates are taken lowest first, so a frame ends as soon as its lowest
+    open candidate leaves its window.  A candidate also needs `need` open
+    candidates above it (the popcount test); that count only falls, so a
+    failure ends the frame.
 
     Check before push.  A child frame is pushed only if it has an open
     candidate in window[need-1] (a prefix, so its lowest one is in it) and
@@ -419,7 +432,7 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
                                 (m + 2 - span[top + 1]) >> 1))
         cap_need = top  # the need of the frame whose choice, s2, sets the cap
     else:
-        window = [_upto(min(m + 1 - span[n + 2], _halves_limit(m, target, n)))
+        window = [_upto(min(m + 1 - span[n + 2], _lower_limit(m, target, n, span)))
                   for n in range(top + 1)]
         cap_need = -1
     need, free, mirror = top, ((1 << m) - 4) & ~mids[1], 1 << (m2 - 1)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gracecolor import ap3
-from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _halves_limit,
+from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _lower_limit,
                             is_ap3_free)
 from gracecolor.budget import BudgetMeter, SolveBudget
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
@@ -123,14 +123,14 @@ def test_ladder_digest_up_to_84(request, climb):
 
 def test_cold_ladder_nodes_are_pinned_at_63(searched_ladder):
     # a looser window keeps every value and witness; only the count shows it
-    assert Ap3Engine().longest(63).stats.nodes == 476_962
+    assert Ap3Engine().longest(63).stats.nodes == 347_411
 
 
 def test_certified_ladder_nodes_are_pinned_at_63():
-    # 300,561 nodes refute the flat levels; each of the 20 levels where L
+    # 207,312 nodes refute the flat levels; each of the 20 levels where L
     # grows costs one: m = 1, whose only set is {1}, and the certified
     # a(2..20)
-    assert Ap3Engine().longest(63).stats.nodes == 300_581
+    assert Ap3Engine().longest(63).stats.nodes == 207_332
 
 
 def climbed_levels(m):
@@ -171,13 +171,14 @@ def test_a_faulty_reference_entry_is_searched_past(monkeypatch, entry):
 # -- the two searches of a level ------------------------------------------------
 
 
-def test_halves_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
+def test_lower_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
     # the lemma by enumeration: of each ended set S and its reflection
     # x -> m+1-x, at least one has no more upper than lower members, and in
     # each such set every interior member v, followed by `need` interior
-    # members, lies within the limit the halves search gives that need.  No
+    # members, lies within the limit the lower count gives that need.  No
     # set holds the middle (m+1)/2, the midpoint of 1 and m, which the limit
     # closes with the upper half
+    span = [0, 1] + [CHI_G_COMPLETE_REFERENCE[n][0] for n in range(2, 12)]
     for m in range(1, 23):
         for s in ended_progression_free_sets(m):
             assert m < 3 or m % 2 == 0 or (m + 1) // 2 not in s, (m, s)
@@ -186,7 +187,7 @@ def test_halves_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
             assert heavy, (m, s)
             for r in heavy:
                 for i, v in enumerate(r[1:-1], start=1):
-                    assert v <= _halves_limit(m, len(r), len(r) - 2 - i), (m, r, v)
+                    assert v <= _lower_limit(m, len(r), len(r) - 2 - i, span), (m, r, v)
 
 
 def test_halves_and_capped_searches_agree_on_every_level_up_to_50():
