@@ -31,13 +31,13 @@ t-set has at least t - t//2 members in the lower half [1..m//2].  A
 candidate v with `need` interior members still to follow it comes after
 t-2-need chosen members, so v and the members after it must supply at
 least r = need+2 - t//2 lower members, all in [v..m//2].  When r >= 1
-that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r).  Only when that
-search finds a set does a second search, which keeps every set that can be
-lexicographically first, find the level's witness; so where a search finds
-that L grows, the witness is the lexicographically first set.  The table's
-witnesses of a(2..26) are those sets too, as a searched climb to L(95)
-finds, so below a(27) = 100 no witness depends on how its level was proven;
-for a(27..32) the recorded witness is the table's.
+that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r).  The set that
+search finds is the level's witness, the lexicographically first
+lower-heavy set; so a certified level carries the table's witness, and a
+searched level where L grows the first lower-heavy set.  The two differ
+where the table's set is not that one; up to a(27) = 100 they do at a(11),
+a(13), a(14), a(17), a(19), a(21), a(25), a(26) and a(27).  Either passes
+check_level.
 
 A level that comes from outside the ladder, from a caller of
 Ap3Engine.seed or from a cache file, is not proven here, so it must pass
@@ -280,12 +280,11 @@ class Ap3Engine:
         Otherwise the halves search decides the level: it looks only at
         lower-heavy sets, and holds each candidate to the lower-count window,
         which leaves room below the middle of [1..m] for the lower members
-        the set still owes.  Only when it finds a set does the capped search
-        find the lexicographically first one, which is the level's witness.
-        A level the budget stops in either search, or at its certifying
-        node, is not recorded.  Every level draws on one meter, and
-        stats.nodes is that meter's count.  Returns the stats and whether
-        the climb finished before the budget ran out."""
+        the set still owes.  The set it finds, the lexicographically first
+        lower-heavy one, is the level's witness.  A level the budget stops in
+        its search, or at its certifying node, is not recorded.  Every level
+        draws on one meter, and stats.nodes is that meter's count.  Returns
+        the stats and whether the climb finished before the budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
         proven = True
@@ -298,12 +297,9 @@ class Ap3Engine:
                     meter.next_stop(0)
                     meter.spend(1)
                 else:
-                    found = _find_of_size(m, target, self._lengths, meter, stats, first=False)
+                    found = _find_of_size(m, target, self._lengths, meter, stats)
                     if found is None:
                         target, found = target - 1, self._witnesses[m - 1]
-                    elif target > 2:  # a smaller target has one set, {1, m}: found
-                        found = _find_of_size(m, target, self._lengths, meter, stats,
-                                              first=True)
                 self._lengths.append(target)
                 self._witnesses.append(found)
         except BudgetExhausted:
@@ -342,11 +338,11 @@ def _lower_limit(m: int, size: int, need: int, span: Sequence[int]) -> int:
 
 
 def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMeter,
-                  stats: SearchStats, first: bool) -> tuple[int, ...] | None:
+                  stats: SearchStats) -> tuple[int, ...] | None:
     """Find a 3-AP-free subset of [1..m] with exactly `target` = L(m-1) + 1
-    elements, or prove that none exists.  With `first` the set found is the
-    lexicographically first one; without it, it is the first lower-heavy one
-    the search meets.  Either search returns None exactly when no set exists.
+    elements, or prove that none exists.  The set found is the
+    lexicographically first lower-heavy one; None is returned exactly when
+    no set exists.
 
     Endpoints.  Every such set S contains both 1 and m: without 1 it lies in
     [2..m], without m in [1..m-1], and either window is a translate of
@@ -356,49 +352,41 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     chosen a, 1 included, blocks its midpoint with m; a progression through 1
     ends in 2b-1 and is blocked like any other forward completion.
 
-    Reflection.  x -> m+1-x maps such sets onto such sets.  Each search
-    breaks this symmetry by one rule and keeps a member of every pair
-    {S, reflection of S}; two rules together could each keep a different
-    member of one pair and so lose both, so a search uses only one.
+    Reflection.  x -> m+1-x maps such sets onto such sets, so the search
+    need keep only one member of every pair {S, reflection of S}: a
+    lower-heavy one.
 
-    Halves (without `first`).  A member x is lower when 2x < m+1, that is
-    x <= m//2, and upper when 2x > m+1.  The middle (m+1)/2 of an odd m
-    would be neither, but it is the midpoint of 1 and m, so S never holds
-    it.  Reflection swaps the halves, so S or its reflection is lower-heavy:
-    it has no more upper than lower members, hence at least
-    target - target//2 lower members.  A candidate v comes after
-    target-2-need chosen members, so at most that many lower ones; v and the
-    `need` elements after it must supply the other r = need+2 - target//2,
-    all in [v..m//2].  When r >= 1 that needs r <= L(m//2+1-v), that is
-    v <= m//2+1-a(r), the lower-count window of _lower_limit; at r = 1 it
-    closes the upper half, and when r <= 0 it leaves every candidate open.
-    This search refutes a level in fewer nodes than the capped one.
-
-    Cap (with `first`).  If the largest interior element of S exceeds
-    m+1-s2, where s2 is the second element, then the reflection of S has a
-    smaller second element, so S is not the lexicographically first witness.
-    Hence the search may keep every later interior element <= cap = m+1-s2
-    without losing that witness.
+    Halves.  A member x is lower when 2x < m+1, that is x <= m//2, and
+    upper when 2x > m+1.  The middle (m+1)/2 of an odd m would be neither,
+    but it is the midpoint of 1 and m, so S never holds it.  Reflection
+    swaps the halves, so S or its reflection is lower-heavy: it has no more
+    upper than lower members, hence at least target - target//2 lower
+    members.  A candidate v comes after target-2-need chosen members, so at
+    most that many lower ones; v and the `need` elements after it must
+    supply the other r = need+2 - target//2, all in [v..m//2].  When r >= 1
+    that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r), the lower-count
+    window of _lower_limit; at r = 1 it closes the upper half, and when
+    r <= 0 it leaves every candidate open.
+    Conversely every set the window admits is lower-heavy: the interior
+    members with need >= target//2 - 1 have r >= 1, so lie in [2..m//2], and
+    with 1 they number target - target//2.  So the search meets the
+    lower-heavy sets, and only them, in lexicographic order.
 
     Search.  Depth first over interior candidates in increasing order, in
     one loop on an explicit stack; the frame being searched lives in locals.
     A frame holds `need`, the interior elements still to place after its
     next choice; `free`, the bitmask of candidates still open (above the
-    last choice, within the cap, completing no progression); and `mirror`,
-    the chosen set with bit 2m-a for each chosen a.  Choosing v drops the
-    values 2v-a, which are mirror >> 2(m-v), and its midpoint with m.  The
-    witness is read back from the mirror on success.  The bottom frame
-    chooses s2, and with `first` fixes the cap of its branch.
+    last choice, completing no progression); and `mirror`, the chosen set
+    with bit 2m-a for each chosen a.  Choosing v drops the values 2v-a,
+    which are mirror >> 2(m-v), and its midpoint with m.  The witness is read
+    back from the mirror on success.
 
     Window masks.  A candidate v followed by `need` more elements must leave
-    room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); under
-    the cap, v and they lie in [v..cap], so need+1 <= L(cap+1-v); without
-    `first`, the lower members still owed need r <= L(m//2+1-v).  Each
-    bound falls as v grows, so each admits a prefix of the candidates,
-    v <= m+1-a(need+2), v <= cap+1-a(need+1) and v <= m//2+1-a(r), with
-    a(n) found in `lengths` by bisection.  window[need] masks the prefix
-    they all admit; without `first` it is computed once per level, with it
-    once per s2 branch (the s2 frame's window also holds s2 <= cap).
+    room for them: v, they and m lie in [v..m], so need+2 <= L(m+1-v); and
+    the lower members still owed need r <= L(m//2+1-v).  Each bound falls as
+    v grows, so each admits a prefix of the candidates, v <= m+1-a(need+2)
+    and v <= m//2+1-a(r), with a(n) found in `lengths` by bisection.
+    window[need] masks the prefix both admit, computed once per level.
     Candidates are taken lowest first, so a frame ends as soon as its lowest
     open candidate leaves its window.  A candidate also needs `need` open
     candidates above it (the popcount test); that count only falls, so a
@@ -426,15 +414,8 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     m2 = 2 * m
     mids = [0 if (v + m) & 1 else 1 << ((v + m) >> 1) for v in range(m)]
     top = target - 3  # interior elements still to place after s2
-    if first:
-        window = [0] * (top + 1)
-        window[top] = _upto(min((m + 1) >> 1, m + 1 - span[top + 2],
-                                (m + 2 - span[top + 1]) >> 1))
-        cap_need = top  # the need of the frame whose choice, s2, sets the cap
-    else:
-        window = [_upto(min(m + 1 - span[n + 2], _lower_limit(m, target, n, span)))
-                  for n in range(top + 1)]
-        cap_need = -1
+    window = [_upto(min(m + 1 - span[n + 2], _lower_limit(m, target, n, span)))
+              for n in range(top + 1)]
     need, free, mirror = top, ((1 << m) - 4) & ~mids[1], 1 << (m2 - 1)
     w = window[top]
     stack: list[tuple[int, int, int]] = []
@@ -462,11 +443,6 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
             if not need:
                 return (*(m2 - i for i in range(m2 - 1, m, -1) if mirror >> i & 1), v, m)
             child = free & ~(mirror >> (m2 - 2 * v) | mids[v])
-            if need == cap_need:  # v is s2
-                cap = m + 1 - v
-                child &= _upto(cap)
-                for n in range(top):
-                    window[n] = _upto(min(m + 1 - span[n + 2], cap + 1 - span[n + 1]))
             if child & window[need - 1] and child.bit_count() >= need:
                 stack.append((need, free, mirror))
                 need -= 1

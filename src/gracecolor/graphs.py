@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,15 +52,22 @@ def read_ints(tokens: list[str], line: int | None = None) -> list[int]:
     """The integers of the tokens of one line or field of a document,
     numbered `line`, or of one command-line argument, which has no line.
     Each token must be ASCII digits after an optional '-'; int() alone would
-    also take '+', '_', surrounding whitespace and non-ASCII digits.  Unsigned tokens are tested all at once, since a test
-    per token costs a few times what int() does, and a cache file is read
-    on every cached CLI call."""
+    also take '+', '_', surrounding whitespace and non-ASCII digits.
+    Unsigned tokens are tested all at once, since a test per token costs a
+    few times what int() does, and a cache file is read on every cached CLI
+    call.  A token of more digits than the interpreter converts
+    (sys.get_int_max_str_digits, 4300 by default) is refused too, by a
+    message that does not echo it."""
     joined = "".join(tokens)
     if "" in tokens or not (joined.isascii() and joined.isdigit()):
         for tok in tokens:
             if not (tok.isascii() and tok[tok[:1] == "-":].isdigit()):
                 raise FormatError(f"expected an integer, got {tok!r}", line)
-    return list(map(int, tokens))
+    try:
+        return list(map(int, tokens))
+    except ValueError:  # the digit limit: every token is digits by now
+        raise FormatError(f"integer of more than {sys.get_int_max_str_digits()} digits",
+                          line) from None
 
 
 def _edge(n: int, u: int, v: int) -> tuple[int, int]:

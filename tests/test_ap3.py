@@ -8,7 +8,7 @@ import pytest
 
 from gracecolor import ap3
 from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _lower_limit,
-                            is_ap3_free)
+                            check_level, is_ap3_free)
 from gracecolor.budget import BudgetMeter, SolveBudget
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
 from support import (contains_progression, ended_progression_free_sets, is_lower_heavy,
@@ -81,49 +81,103 @@ def test_longest_matches_enumeration_oracle_up_to_20():
         assert is_ap3_free(got.witness)
         assert got.witness[-1] <= m and got.witness[0] >= 1
         if m == 1 or want > engine.length(m - 1):
-            # a new level's witness is the lexicographically first maximum
-            # set, and it spans [1..m]; a level with L(m) = L(m-1) keeps the
-            # previous level's witness, which the oracle does not predict
+            # a new level's witness is the reference table's, certified, and
+            # up to 20 that is the lexicographically first maximum set, which
+            # spans [1..m]; a level with L(m) = L(m-1) keeps the previous
+            # level's witness, which the oracle does not predict
             assert got.witness == first, f"L({m})"
             assert got.witness[0] == 1 and got.witness[-1] == m
 
 
+# Where L grows, the searched ladder's witnesses up to L(63), as pinned from
+# a run of the kernel; those of a(11), a(13), a(14), a(17) and a(19) differ
+# from the reference table's, whose sets there are upper-heavy
+_SEARCHED_NEW_LEVEL_WITNESSES = (
+    (1,),
+    (1, 2),
+    (1, 2, 4),
+    (1, 2, 4, 5),
+    (1, 2, 4, 8, 9),
+    (1, 2, 4, 5, 10, 11),
+    (1, 2, 4, 5, 10, 11, 13),
+    (1, 2, 4, 5, 10, 11, 13, 14),
+    (1, 2, 6, 7, 9, 14, 15, 18, 20),
+    (1, 2, 5, 7, 11, 16, 18, 19, 23, 24),
+    (1, 3, 4, 8, 9, 11, 16, 20, 22, 25, 26),
+    (1, 3, 4, 8, 9, 11, 20, 22, 23, 27, 28, 30),
+    (1, 2, 5, 7, 10, 11, 14, 22, 24, 25, 29, 31, 32),
+    (1, 2, 5, 7, 10, 11, 14, 16, 24, 28, 29, 33, 35, 36),
+    (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40),
+    (1, 2, 4, 5, 10, 11, 13, 14, 28, 29, 31, 32, 37, 38, 40, 41),
+    (1, 2, 5, 6, 12, 14, 15, 17, 21, 35, 38, 39, 42, 44, 47, 48, 51),
+    (1, 2, 5, 6, 12, 14, 15, 17, 21, 31, 38, 39, 42, 43, 49, 51, 52, 54),
+    (1, 5, 7, 8, 10, 16, 17, 20, 21, 28, 38, 42, 44, 45, 47, 53, 54, 57, 58),
+    (1, 2, 5, 7, 11, 16, 18, 19, 24, 26, 38, 39, 42, 44, 48, 53, 55, 56, 61, 63),
+)
+
+
 def test_new_level_witnesses_are_pinned_up_to_63(searched_ladder):
     # where L grows, the searched ladder's witness is the lexicographically
-    # first maximum set, the one the reference table records for a(L)
+    # first lower-heavy maximum set, which the enumeration oracle finds up
+    # to m = 26, and it spans [1..m]
     engine = Ap3Engine()
     engine.longest(63)
     previous = 0
+    new_levels = []
     for m, value, witness in engine.proven_levels():
         if value > previous:
-            want = (1,) if m == 1 else CHI_G_COMPLETE_REFERENCE[value][1]
-            assert (m, witness) == (want[-1], want), f"L({m})"
+            assert (witness[0], witness[-1]) == (1, m), f"L({m})"
+            if m <= 26:
+                want = next(s for s in ended_progression_free_sets(m)
+                            if len(s) == value and is_lower_heavy(s, m))
+                assert witness == want, f"L({m})"
+            new_levels.append(witness)
         previous = value
-    assert previous == 20
+    assert tuple(new_levels) == _SEARCHED_NEW_LEVEL_WITNESSES
 
 
 @pytest.mark.skipif(not os.environ.get("GRACECOLOR_EXTENDED"),
                     reason="optional tier: set GRACECOLOR_EXTENDED=1 (about a minute)")
-@pytest.mark.parametrize("climb", ["certified", "searched"])
-def test_ladder_digest_up_to_84(request, climb):
+@pytest.mark.parametrize("climb, digest", [
+    ("certified", "1213af38720b33f75433c099ffa67f03593ce917009161476dfdb93c5b351136"),
+    ("searched", "4ed34ee49d55ceeed7db184bbd17c454a4f96b9f01a69d64d5bc94753338a702"),
+], ids=["certified", "searched"])
+def test_ladder_digest_up_to_84(request, climb, digest):
     # lines "m L(m) witness" for m = 1..84, hashed, as pinned from a run of
     # the kernel: any change to a value or a witness moves the digest.  The
-    # certified climb checks the table's witnesses of a(2..26), which are the
-    # ones the search finds; the searched climb is the only check of the
-    # kernel's own values and witnesses past L(63)
+    # certified climb records the table's witnesses where L grows; the
+    # searched climb records the first lower-heavy sets, and is a check of
+    # the kernel's own values and witnesses past L(63)
     if climb == "searched":
         request.getfixturevalue("searched_ladder")
     engine = Ap3Engine()
     assert engine.longest(84).proven
     text = "".join(f"{m} {value} {','.join(map(str, witness))}\n"
                    for m, value, witness in engine.proven_levels())
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1213af38720b33f75433c099ffa67f03593ce917009161476dfdb93c5b351136")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not os.environ.get("GRACECOLOR_EXTENDED"),
+                    reason="optional tier: set GRACECOLOR_EXTENDED=1 (about a minute)")
+def test_searched_ladder_levels_check_up_to_100(searched_ladder):
+    # the only check of the kernel's own witnesses past L(84), a(27) = 100
+    # among them: each level passes check_level against the one below, which
+    # holds its value to the reference table, and where L grows its witness
+    # spans [1..m] and is lower-heavy
+    engine = Ap3Engine()
+    assert engine.longest(100).proven
+    previous = 0
+    for m, value, witness in engine.proven_levels():
+        check_level(m, value, witness, previous)
+        if value > previous:
+            assert (witness[0], witness[-1]) == (1, m) and is_lower_heavy(witness, m), m
+        previous = value
+    assert previous == 27
 
 
 def test_cold_ladder_nodes_are_pinned_at_63(searched_ladder):
     # a looser window keeps every value and witness; only the count shows it
-    assert Ap3Engine().longest(63).stats.nodes == 347_411
+    assert Ap3Engine().longest(63).stats.nodes == 258_006
 
 
 def test_certified_ladder_nodes_are_pinned_at_63():
@@ -140,9 +194,17 @@ def climbed_levels(m):
 
 
 def test_certified_and_searched_climbs_agree_up_to_63(request):
+    # the same values; the witnesses may differ where L grows, since a
+    # certified level carries the table's set, but each searched one passes
+    # check_level against the level below
     certified, _ = climbed_levels(63)
     request.getfixturevalue("searched_ladder")
-    assert climbed_levels(63)[0] == certified
+    searched, _ = climbed_levels(63)
+    assert [value for _, value, _ in searched] == [value for _, value, _ in certified]
+    previous = 0
+    for m, value, witness in searched:
+        check_level(m, value, witness, previous)
+        previous = value
 
 
 # A valid 9-set spanning [1..21], one past a(9) = 20
@@ -168,7 +230,7 @@ def test_a_faulty_reference_entry_is_searched_past(monkeypatch, entry):
     assert climbed_levels(30) == (want, searched_nodes)
 
 
-# -- the two searches of a level ------------------------------------------------
+# -- the search of a level ------------------------------------------------------
 
 
 def test_lower_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
@@ -190,27 +252,26 @@ def test_lower_limit_admits_the_lower_heavy_sets_of_every_reflection_pair():
                     assert v <= _lower_limit(m, len(r), len(r) - 2 - i, span), (m, r, v)
 
 
-def test_halves_and_capped_searches_agree_on_every_level_up_to_50():
+def test_search_decides_every_level_up_to_50():
+    # at each level, on the proven ladder below it, the search finds a set
+    # exactly where L grows, and that set is a lower-heavy target-set
+    # spanning [1..m] with no progression
     engine = Ap3Engine()
     engine.longest(50)
-    witnesses = {m: witness for m, _, witness in engine.proven_levels()}
     lengths = [0] + [engine.length(m) for m in range(1, 50)]
     for m in range(3, 51):
         target = lengths[m - 1] + 1
-        halves, first = (_find_of_size(m, target, lengths[:m], BudgetMeter(None),
-                                       SearchStats(), first=lexicographic)
-                         for lexicographic in (False, True))
-        assert (halves is None) == (first is None) == (engine.length(m) < target), m
-        if halves is not None:
-            assert len(halves) == target and (halves[0], halves[-1]) == (1, m)
-            assert not contains_progression(halves) and is_lower_heavy(halves, m)
-            assert first == witnesses[m]
+        found = _find_of_size(m, target, lengths[:m], BudgetMeter(None), SearchStats())
+        assert (found is None) == (engine.length(m) < target), m
+        if found is not None:
+            assert len(found) == target and (found[0], found[-1]) == (1, m)
+            assert not contains_progression(found) and is_lower_heavy(found, m)
 
 
-def test_budget_spent_inside_the_witness_search_records_no_level(searched_ladder):
+def test_budget_spent_inside_a_searched_new_level_records_no_level(searched_ladder):
     # L(20) = 9 > L(19) = 8.  The climb's last node is the one that completes
-    # the capped search's witness at m = 20, so one node less stops the climb
-    # in that search, after the halves search has found a set
+    # the witness of m = 20 in its search, so one node less stops the climb
+    # in that search, before it has found a set
     full = Ap3Engine().longest(20)
     below = Ap3Engine().longest(19)
     assert full.stats.nodes > below.stats.nodes + 1  # m = 20 is searched, not certified

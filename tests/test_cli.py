@@ -233,6 +233,29 @@ def test_integer_arguments_follow_the_documents_rule(k4_file, token):
         2, "", f"error: not a comma-separated integer list: {elements!r}\n")
 
 
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this interpreter converts integers of any length")
+def test_an_integer_past_the_digit_limit_is_a_format_error_naming_its_line(tmp_path, k4_file):
+    # int() refuses more than sys.get_int_max_str_digits() digits.  In a
+    # graph, a coloring or a cache that is exit 4 naming the line, by a
+    # message that does not echo the token; in ap3 check's list, as any bad
+    # list, a usage error
+    token = "0" * _INT_DIGITS + "01"
+    want = (4, "", f"error: line 2: integer of more than {_INT_DIGITS} digits\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"2 1\n0 {token}\n")
+    assert invoke("solve", str(graph)) == want
+    colors = coloring_file(tmp_path, f"1 2\n4 {token}\n")
+    assert invoke("verify", k4_file, colors) == want
+    cache = tmp_path / "cache.txt"
+    cache.write_text(f"L 1 1 1\nL 2 2 1,{token}\n")
+    assert invoke("ap3", "longest", "3", "--cache", str(cache)) == want
+    code, out, err = invoke("ap3", "check", f"1,{token}")
+    assert (code, out) == (2, "") and err.startswith("error: not a comma-separated integer list")
+
+
 def test_argparse_writes_to_the_streams_it_is_given(capsys):
     code, out, err = invoke("solve")
     assert (code, out) == (2, "") and err.startswith("usage: gracecolor solve")
@@ -433,10 +456,9 @@ def test_exhausted_ladder_command_stores_its_proven_levels(tmp_path, argv):
     assert len(stored.splitlines()) < len(full.read_text().splitlines())
 
 
-def test_ladder_stopped_in_its_witness_search_stores_no_such_level(tmp_path, searched_ladder):
+def test_ladder_stopped_in_a_searched_new_level_stores_no_such_level(tmp_path, searched_ladder):
     # one node short of the cold searched climb to L(20) = 9 stops it in the
-    # search for the first 9-set, after another search has shown that one
-    # exists
+    # search of m = 20, one node before that search completes its 9-set
     cache = tmp_path / "cache.txt"
     cap = ap3.Ap3Engine().longest(20).stats.nodes - 1
     assert cap > ap3.Ap3Engine().longest(19).stats.nodes  # m = 20 is searched, not certified
