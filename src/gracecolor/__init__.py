@@ -28,7 +28,6 @@ from .graphs import (
     parse_graph,
     path,
     random_tree,
-    regularity,
     serialize_graph,
     star,
     wheel,

@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("k", type=_integer)
     q = ap3_sub.add_parser("check", parents=[common])
     q.set_defaults(handler=_ap3_check)
-    q.add_argument("elements", help="comma-separated integers")
+    q.add_argument("elements", help="comma-separated integers; put -- before a list "
+                                    "that starts with -, as in: ap3 check -- -1,0,1")
 
     p = sub.add_parser("table", parents=[ladder])
     p.set_defaults(handler=_table)
@@ -294,8 +295,8 @@ def _ap3_minspan(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     try:
         values = tuple(read_ints(args.elements.split(",")))
-    except FormatError:
-        raise ValueError(f"not a comma-separated integer list: {args.elements!r}") from None
+    except FormatError as exc:
+        raise ValueError(f"not a comma-separated integer list: {exc}") from None
     ordered = tuple(sorted(set(values)))
     free = ap3.is_ap3_free(ordered)
     label = "3-AP-free" if free else "not 3-AP-free"

@@ -121,14 +121,6 @@ def max_degree(g: Graph) -> int:
     return max(len(a) for a in g.adjacency)
 
 
-def regularity(g: Graph) -> int | None:
-    """The common degree r if g is r-regular, else None."""
-    degrees = {len(a) for a in g.adjacency}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
-
-
 def is_connected(g: Graph) -> bool:
     seen = bytearray(g.n)
     seen[0] = 1

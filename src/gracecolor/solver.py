@@ -31,9 +31,15 @@ the constraints that involve x are new, and each is applied once per node:
   3. An uncolored neighbor v of x loses the midpoint (c + cz)/2 of each
      colored neighbor z of v, which gives vx and vz one color; a z of color
      c leaves v no color at all, so the node is pruned.  The colors of v's
-     colored neighbors sit in a per-vertex mask, set when a node's
-     propagation succeeds and cleared when the search returns to that
-     vertex, so the rule shifts one mask instead of scanning v's neighbors.
+     colored neighbors sit in two per-vertex masks, one per color parity,
+     set when a node's propagation succeeds and cleared when the search
+     returns to that vertex.  Only a cz of c's parity gives an integer
+     midpoint, so the rule shifts the mask of c's parity instead of
+     scanning v's neighbors.
+Rule 2, and the color set of rule 1, come from one pass over x's colored
+neighbors; rules 1 and 3 are then applied in one pass over its uncolored
+neighbors.  Domains are only ANDed, so this order changes no child and no
+prune.
 These are all the ways a graceful coloring can fail around a new vertex:
 its color is proper, the edge colors at a colored neighbor differ, and the
 edge colors at the uncolored vertex differ.
@@ -73,7 +79,7 @@ from typing import Callable
 
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 from .checking import GracefulColoring
-from .graphs import Graph, is_connected, max_degree, regularity
+from .graphs import Graph, is_connected, max_degree
 
 SOLVED = "solved"
 INFEASIBLE = "infeasible-at-k"
@@ -117,9 +123,8 @@ def graceful_lower_bound(g: Graph) -> int:
     """
     _require_connected(g)
     bound = max_degree(g) + 1
-    r = regularity(g)
-    if r is not None and r >= 2:
-        bound = max(bound, r + 2)
+    if bound > 2 and all(len(a) == bound - 1 for a in g.adjacency):
+        bound += 1  # (bound - 1)-regular
     if _diameter_at_most_2(g):
         bound = max(bound, g.n)
     return bound
@@ -212,46 +217,31 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     colors or None."""
     adj = g.adjacency
     full = (1 << (k + 1)) - 2  # colors 1..k
-    # nbr[v] holds the colors of v's colored neighbors, color c as the bit
-    # slot[c]: even color 2a at bit a, odd color 2a+1 at bit odd+a.  Only
-    # colors of c's parity have an integer midpoint with c, and those
-    # midpoints are that parity's part of the mask shifted left by (c+1)//2.
-    # No two colored neighbors of a vertex share a color on a live branch,
-    # so toggling slot[c] sets and clears c exactly.
-    odd = k // 2 + 1
-    evens = (1 << odd) - 1
-    slot = [1 << (odd + (c >> 1)) if c & 1 else 1 << (c >> 1) for c in range(k + 1)]
-    nbr = [0] * g.n
+    # nbr[p][v] holds the colors of parity p on v's colored neighbors, color
+    # c as bit c >> 1.  Only colors of c's parity have an integer midpoint
+    # with c, and those midpoints are nbr[c & 1][v] shifted left by
+    # (c + 1) >> 1.  No two colored neighbors of a vertex share a color on a
+    # live branch, so toggling bit c >> 1 sets and clears c exactly.
+    # propagate toggles x's color in after its last prune, and _search
+    # toggles it out as its undo hook.
+    nbr = [0] * g.n, [0] * g.n
+
+    def toggle(x, c):
+        same, own = nbr[c & 1], 1 << (c >> 1)
+        for v in adj[x]:
+            same[v] ^= own
 
     def propagate(x, c, colors, domains, allowed):
         bit = 1 << c
         near = bit
-        for w in adj[x]:
-            cw = colors[w]
-            if cw:
-                near |= 1 << cw
-                if cw < c + c:
-                    near |= 1 << (c + c - cw)
-        own, left = slot[c], (c + 1) >> 1
-        if c & 1:
-            right, keep = odd, -1
-        else:
-            right, keep = 0, evens
         nd = list(domains)
-        for v in adj[x]:
-            if colors[v]:
-                continue
-            nb = nbr[v]
-            if nb & own:
-                return None  # every color clashes between x and a neighbor of v
-            mask = nd[v] & ~(near | (nb >> right & keep) << left)
-            if not mask:
-                return None
-            nd[v] = mask
-        for u in adj[x]:
+        for u in adj[x]:  # rule 2 here, and rule 1's set, in one pass
             cu = colors[u]
             if not cu:
                 continue
+            near |= 1 << cu
+            if cu < c + c:
+                near |= 1 << (c + c - cu)
             far = ~(bit | 1 << (cu + cu - c)) if cu + cu > c else ~bit
             for v in adj[u]:
                 if not colors[v]:
@@ -259,19 +249,24 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
                     if not mask:
                         return None
                     nd[v] = mask
-        for v in adj[x]:
-            nbr[v] ^= own
+        same, own, left = nbr[c & 1], 1 << (c >> 1), (c + 1) >> 1
+        for v in adj[x]:  # rules 1 and 3
+            if colors[v]:
+                continue
+            nb = same[v]
+            if nb & own:
+                return None  # every color clashes between x and a neighbor of v
+            mask = nd[v] & ~(near | nb << left)
+            if not mask:
+                return None
+            nd[v] = mask
+        toggle(x, c)
         return nd, full
-
-    def undo(x, c):
-        own = slot[c]
-        for v in adj[x]:
-            nbr[v] ^= own
 
     # the degree-reach cut: at a vertex of degree d, colors 1..k-d and d+1..k
     start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in map(len, adj)]
     half = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    return _search(g, k, half, start, propagate, meter, undo)
+    return _search(g, k, half, start, propagate, meter, toggle)
 
 
 def solve_graceful_decision(g: Graph, k: int,

@@ -15,9 +15,7 @@ where witness is comma-separated ascending integers with no spaces.  The
 loader reads lines as graphs.document_lines does: CRLF and CR end a line
 too, and blank and '#' lines are skipped.  It reads integers as
 graphs.read_ints does: ASCII digits after an optional '-'.  Only proven
-values are ever written.  Files written before the cache held only levels
-also contain "A <n> <a(n)> <witness>" records; the loader skips them and
-the next store drops them.
+values are ever written, and a record of any other kind is an error.
 """
 
 from __future__ import annotations
@@ -73,8 +71,6 @@ def load_cache(path: str) -> ValueCache:
             raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)
         kind, m_s, value_s, witness_s = parts
         m, value, *witness = read_ints([m_s, value_s, *witness_s.split(",")], lineno)
-        if kind == "A":  # a(n) record of an older file: derivable from L, not trusted
-            continue
         if kind != "L":
             raise FormatError(f"unknown kind {kind!r}", lineno)
         if m in records:

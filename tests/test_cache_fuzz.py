@@ -29,7 +29,8 @@ def _level(level):
 
 
 def _span(level):
-    # the span record an older file holds for the size first reached at m
+    # the a(n) record that caches once held for the size first reached at m,
+    # now an unknown kind
     m, value, witness = level
     return ["A", str(value), str(m), _csv(witness)]
 

@@ -19,7 +19,6 @@ from gracecolor.graphs import (
     parse_graph,
     path,
     random_tree,
-    regularity,
     serialize_graph,
     star,
     wheel,
@@ -203,12 +202,6 @@ def test_max_degree_examples():
     assert max_degree(complete(4)) == 3
     assert max_degree(path(3)) == 2
     assert max_degree(wheel(7)) == 6
-
-
-def test_regularity_examples():
-    assert regularity(cycle(5)) == 2
-    assert regularity(path(4)) is None
-    assert regularity(complete(6)) == 5
 
 
 def test_graphs_are_immutable_and_hashable():

@@ -153,16 +153,17 @@ def test_load_rejects_malformed_lines(tmp_path):
 
 def test_load_accepts_comments_and_blanks(tmp_path):
     path = tmp_path / "cache.txt"
-    path.write_text("# proven values\n\nA 4 5 1,2,4,5\nL 5 4 1,2,4,5\n")
+    path.write_text("# proven values\n\nL 5 4 1,2,4,5\n")
     assert load_cache(str(path)).levels == {5: (4, (1, 2, 4, 5))}
 
 
-def test_load_skips_span_records_but_checks_their_fields(tmp_path):
-    # "A n a(n) witness" records of older files are neither trusted nor kept
+def test_load_rejects_span_records_naming_their_line(tmp_path):
+    # "A n a(n) witness" is not a record kind: a(n) is read off the L records
     path = tmp_path / "cache.txt"
-    path.write_text("A 4 5 1,2,4,5\nA 5 10 1,2,4,8,10\nA 3 9 9,9\nL 2 2 1,2\n")
-    assert load_cache(str(path)).levels == {2: (2, (1, 2))}
-    for text, match in (("L 2 2 1,2\nA 4 5\n", "line 2: expected 4 fields"),
+    for text, match in (("# proven values\n\nA 4 5 1,2,4,5\nL 5 4 1,2,4,5\n",
+                         "line 3: unknown kind 'A'"),
+                        ("L 2 2 1,2\nA 4 5 1,2,4,5\n", "line 2: unknown kind 'A'"),
+                        ("L 2 2 1,2\nA 4 5\n", "line 2: expected 4 fields"),
                         ("A 4 five 1,2,4,5\n", "line 1: expected an integer, got 'five'")):
         path.write_text(text)
         with pytest.raises(FormatError, match=match):
