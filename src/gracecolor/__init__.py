@@ -43,7 +43,6 @@ from .solver import (
 )
 from .tables import (
     ValueCache,
-    known_chi_g_complete,
     load_cache,
     render_table,
     store_cache,

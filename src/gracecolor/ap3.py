@@ -11,17 +11,21 @@ L is computed as an incremental ladder: L(m) is L(m-1) or L(m-1)+1, so each
 level is a decision seeded with the previous level's answer, and every
 proven L value sharpens the pruning bound for later levels.
 
-Where the reference table below puts a(t) at m, for t = L(m-1)+1, the
-level is certified rather than searched: the table's witness passes
-check_level, the same rule a seeded level passes, and that proves
-L(m) = t.  The witness gives L(m) >= t; and L(m) <= L(m-1)+1 = t, since
-removing m from a subset of [1..m] leaves a subset of [1..m-1].  A wrong
-table cannot make a value wrong: a witness that fails check_level is
-ignored and the level searched; a table that puts a(t) too late is
-overtaken, as the search at the true level finds a set first; and it
-cannot put a(t) too early, as its witness would have to be a valid t-set
-within [1..m].  Every flat level, where L(m) = L(m-1), is still refuted
-by search, and past the table, beyond m = 122, every level is searched.
+One map, built once at import, certifies levels where L grows: m -> a
+witness of L(m) = L(m-1)+1.  It holds {1} and {1, 2}, which give L(1) = 1
+and L(2) = 2 by definition, and each reference table entry a(t) = m whose
+witness passes check_level, the same rule a seeded level passes, as
+L(m) = t over L(m-1) = t-1.  A level whose map witness has t = L(m-1)+1
+members is certified rather than searched, and that proves L(m) = t: the
+witness gives L(m) >= t; and L(m) <= L(m-1)+1 = t, since removing m from a
+subset of [1..m] leaves a subset of [1..m-1].  A wrong table cannot make a
+value wrong: a witness that fails check_level never enters the map, and
+its level is searched; a table that puts a(t) too late is overtaken, as
+the search at the true level finds a set first; and it cannot put a(t)
+too early, as its witness would have to be a valid t-set within [1..m].
+Every flat level, where L(m) = L(m-1), is still refuted by search, and
+past the table, beyond m = 122, every level is searched; so the search
+only ever sees t >= 3, as L(m-1) >= 2 for m >= 3.
 
 A searched level is decided by a search over lower-heavy sets only, those
 with no more members above the middle of [1..m] than below it: each set or
@@ -176,6 +180,24 @@ def check_level(m: int, value: int, witness: Sequence[int],
                          f"which gives {_FIXED_LENGTHS[m]}")
 
 
+def _certificates(table: Mapping[int, tuple[int, tuple[int, ...]]]) -> dict[int, tuple[int, ...]]:
+    """m -> a witness of L(m) = L(m-1) + 1, for the climb to record at one
+    node where its size is L(m-1) + 1: {1} and {1, 2}, which hold by
+    definition, and the witness of each entry t -> (m, w) of `table` that
+    passes check_level as L(m) = t over L(m-1) = t - 1."""
+    certified = {1: (1,), 2: (1, 2)}
+    for t, (m, witness) in table.items():
+        try:
+            check_level(m, t, witness, t - 1)
+        except ValueError:
+            continue
+        certified[m] = witness
+    return certified
+
+
+_CERTIFIED = _certificates(CHI_G_COMPLETE_REFERENCE)
+
+
 @dataclass(slots=True)
 class SearchStats:
     nodes: int = 0
@@ -205,10 +227,10 @@ class Ap3Engine:
     All stored levels are exact.  An engine may be seeded from a persistent
     cache of previously proven values (see gracecolor.tables); seeded entries
     pass check_level, then are trusted: up to m = 122 the reference table
-    fixes them, beyond it their refutations are taken on trust.  A level
-    where L grows to a value the reference table places there is certified
-    by the table's witness, which passes the same check_level; every other
-    level is searched.
+    fixes them, beyond it their refutations are taken on trust.  Levels 1
+    and 2, and a level where L grows to a value the reference table places
+    there, are certified by the certificate map, whose table witnesses pass
+    the same check_level; every other level is searched.
     """
 
     def __init__(self):
@@ -274,9 +296,11 @@ class Ap3Engine:
     def _climb(self, unfinished: Callable[[], bool],
                budget: SolveBudget | None) -> tuple[SearchStats, bool]:
         """Prove the next level while unfinished(): L(m) = L(m-1) + 1 if
-        attainable, else L(m-1).  Where the reference table gives
-        a(L(m-1) + 1) = m and its witness passes check_level, that witness
-        proves L(m) = L(m-1) + 1 (see the module docstring) for one node.
+        attainable, else L(m-1).  Where the certificate map _CERTIFIED holds
+        a witness of L(m-1) + 1 members at m (at m = 1 and 2, and where the
+        reference table puts a(L(m-1) + 1) with a witness that passed
+        check_level at import), that witness proves L(m) = L(m-1) + 1 (see
+        the module docstring) for one node.
         Otherwise the halves search decides the level: it looks only at
         lower-heavy sets, and holds each candidate to the lower-count window,
         which leaves room below the middle of [1..m] for the lower members
@@ -292,8 +316,8 @@ class Ap3Engine:
             while unfinished():
                 m = len(self._lengths)
                 target = self._lengths[m - 1] + 1
-                found = _reference_witness(m, target, self._lengths[m - 1])
-                if found is not None:
+                found = _CERTIFIED.get(m, ())
+                if len(found) == target:
                     meter.next_stop(0)
                     meter.spend(1)
                 else:
@@ -306,20 +330,6 @@ class Ap3Engine:
             proven = False
         stats.nodes = meter.nodes
         return stats, proven
-
-
-def _reference_witness(m: int, target: int, prev: int) -> tuple[int, ...] | None:
-    """The reference table's witness for a(target), if the table puts
-    a(target) at m and that witness passes check_level as L(m) = target
-    over L(m-1) = prev; otherwise None."""
-    span, witness = CHI_G_COMPLETE_REFERENCE.get(target, (None, ()))
-    if span != m:
-        return None
-    try:
-        check_level(m, target, witness, prev)
-    except ValueError:
-        return None
-    return witness
 
 
 def _upto(x: int) -> int:
@@ -401,15 +411,11 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     the budget is charged per node; the meter holds the count.  A prune is
     a frame the window ends with candidates left, a candidate failing the
     popcount test, or a child refused before push; stats holds the prunes.
-    A level with target <= 2, whose answer is {1, m}, counts one node.
+    Levels 1 and 2, the only ones with a target below 3, are not searched:
+    the climb certifies them for one node each from _CERTIFIED.
 
-    Requires lengths[t] = L(t) for all t < m.
+    Requires target >= 3, so m >= 3, and lengths[t] = L(t) for all t < m.
     """
-    if target <= 2:
-        meter.next_stop(0)
-        meter.spend(1)
-        return (1,) if m == 1 else (1, m)
-
     span = [bisect_left(lengths, n) for n in range(target)]  # a(n) for n < target
     m2 = 2 * m
     mids = [0 if (v + m) & 1 else 1 << ((v + m) >> 1) for v in range(m)]

@@ -31,8 +31,10 @@ class SolveBudget:
         if self.max_nodes is not None and not (
                 type(self.max_nodes) is int and self.max_nodes >= 1):
             raise ValueError("max_nodes must be an integer >= 1")
-        # written so that NaN, which compares False with everything, fails too
-        if self.max_seconds is not None and not self.max_seconds >= 0:
+        # the same rule for seconds, an int or a float; and written so that
+        # NaN, which compares False with everything, fails too
+        if self.max_seconds is not None and not (
+                type(self.max_seconds) in (int, float) and self.max_seconds >= 0):
             raise ValueError("max_seconds must be a number >= 0")
 
 

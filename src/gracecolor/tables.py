@@ -1,8 +1,11 @@
 """The persistent cache of proven results and the reproduction report.
 
 The reference table of published graceful chromatic numbers of complete
-graphs lives in ap3, whose level rule, check_level, holds every seeded and
-cached level to it; the reproduction report reads it from there.
+graphs lives in ap3.  There its level rule, check_level, holds every seeded
+and cached level to it, and the certificate map built from it once, at
+import, certifies the ladder's levels where L grows.  The reproduction
+report reads each row's reference, CHI_G_COMPLETE_REFERENCE.get(n,
+(None,))[0], straight from the table.
 
 The value cache persists the proven ladder between runs: m -> (L(m),
 witness), where L(m) is the size of the largest 3-AP-free subset of [1..m].
@@ -28,12 +31,6 @@ from dataclasses import dataclass, field
 from .ap3 import CHI_G_COMPLETE_REFERENCE, Ap3Engine, check_level
 from .budget import SolveBudget
 from .graphs import FormatError, document_lines, read_ints, read_text
-
-
-def known_chi_g_complete(n: int) -> int | None:
-    """Embedded reference value for the complete graph on n vertices, if any."""
-    entry = CHI_G_COMPLETE_REFERENCE.get(n)
-    return entry[0] if entry else None
 
 
 @dataclass
@@ -155,7 +152,7 @@ def table_report(n_max: int, budget: SolveBudget | None = None,
     reached = engine.length(engine.frontier)
     rows: list[TableRow] = []
     for n in range(2, n_max + 1):
-        reference = known_chi_g_complete(n)
+        reference = CHI_G_COMPLETE_REFERENCE.get(n, (None,))[0]
         if n > reached:
             rows.append(TableRow(n, None, reference, (), STATUS_UNPROVEN))
             continue

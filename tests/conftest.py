@@ -32,8 +32,9 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def searched_ladder(monkeypatch):
-    """Hide the reference table from the ladder's climb, which then searches
-    every level, as it does past L(122), instead of checking the table's
-    witness where L grows.  check_level still holds each level to the L
-    values the table fixes, which are computed once, at import."""
-    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", {})
+    """Build the ladder's certificate map from an empty table, so the climb
+    searches every level past L(2), as it does past L(122), instead of
+    certifying the table's witnesses where L grows.  check_level still
+    holds each level to the L values the table fixes, which are computed
+    once, at import."""
+    monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates({}))

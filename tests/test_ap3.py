@@ -218,15 +218,16 @@ _NINE_SPANNING_21 = (1, 2, 4, 5, 12, 14, 15, 17, 21)
     (21, CHI_G_COMPLETE_REFERENCE[9][1]),  # a true witness under a wrong span
 ], ids=["progression", "misses-m", "late", "span-not-its-witness"])
 def test_a_faulty_reference_entry_is_searched_past(monkeypatch, entry):
-    # a(9) = 20.  The climb checks a table entry only at the level the entry
-    # names, and only through check_level, so a faulty a(9) climbs to 30
+    # a(9) = 20.  A table entry enters the certificate map only through
+    # check_level, and the climb uses it only at the level it names and
+    # only where its size is L(m-1) + 1, so a faulty a(9) climbs to 30
     # exactly as a table without a(9) does: same values, witnesses and nodes
     assert len(_NINE_SPANNING_21) == 9 and is_ap3_free(_NINE_SPANNING_21)
     want, _ = climbed_levels(30)
     without = {n: e for n, e in CHI_G_COMPLETE_REFERENCE.items() if n != 9}
-    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", without)
+    monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates(without))
     _, searched_nodes = climbed_levels(30)
-    monkeypatch.setattr(ap3, "CHI_G_COMPLETE_REFERENCE", {**without, 9: entry})
+    monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates({**without, 9: entry}))
     assert climbed_levels(30) == (want, searched_nodes)
 
 

@@ -169,6 +169,30 @@ def test_ap3_minspan_budget():
     assert "unproven" in out
 
 
+def test_ap3_minspan_records_an_unproven_span():
+    assert invoke("ap3", "minspan", "12", "--records", "--max-nodes", "5") == \
+        (3, "12 - unproven\n", "")
+
+
+def test_table_reports_a_reference_mismatch(monkeypatch):
+    # the report reads the table; the ladder's certificates were built at import
+    monkeypatch.setattr(tables, "CHI_G_COMPLETE_REFERENCE",
+                        {**CHI_G_COMPLETE_REFERENCE, 5: (10, CHI_G_COMPLETE_REFERENCE[5][1])})
+    code, out, err = invoke("table", "6")
+    assert code == 1
+    assert [line.split()[:4] for line in out.splitlines() if "MISMATCH" in line] == \
+        [["5", "9", "10", "**"]]
+    assert err == "reference mismatch detected\n"
+
+
+def test_table_row_without_a_reference_is_computed(monkeypatch):
+    without = {n: e for n, e in CHI_G_COMPLETE_REFERENCE.items() if n != 5}
+    monkeypatch.setattr(tables, "CHI_G_COMPLETE_REFERENCE", without)
+    code, out, _ = invoke("table", "6", "--records")
+    assert code == 0
+    assert "5 9 computed\n" in out.splitlines(keepends=True)
+
+
 def test_table_exit_codes():
     code, out, _ = invoke("table", "8")
     assert code == 0
@@ -200,6 +224,19 @@ def test_gen_invalid_params():
     code, _, err = invoke("gen", "cycle", "2")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("params, outcome", [
+    (["path", "0"], (2, "", "error: path needs n >= 1\n")),
+    (["complete", "0"], (2, "", "error: complete graph needs n >= 1\n")),
+    (["star", "0"], (2, "", "error: star needs n >= 1\n")),
+    (["caterpillar", "0"], (2, "", "error: caterpillar needs spine >= 1\n")),
+    (["caterpillar", "2", "1", "-1"], (2, "", "error: leg counts must be nonnegative\n")),
+    (["random_tree", "0", "5"], (2, "", "error: tree needs n >= 1\n")),
+    (["random_tree", "1", "5"], (0, "1 0\n", "")),
+])
+def test_gen_checks_the_size_of_a_family(params, outcome):
+    assert invoke("gen", *params) == outcome
 
 
 def test_usage_errors():

@@ -350,6 +350,18 @@ def test_budget_accepts_a_node_cap_of_one():
     assert SolveBudget(max_nodes=1).max_nodes == 1
 
 
+@pytest.mark.parametrize("seconds, ok", [(True, False), ("5", False), (-1, False),
+                                         (float("nan"), False), (0, True), (2.5, True),
+                                         (float("inf"), True)])
+def test_budget_takes_seconds_only_as_a_number_at_least_zero(seconds, ok):
+    # True is a bool, not a limit of one second, and "5" a string, not five
+    if ok:
+        assert SolveBudget(max_seconds=seconds).max_seconds == seconds
+    else:
+        with pytest.raises(ValueError):
+            SolveBudget(max_seconds=seconds)
+
+
 def test_no_kernel_spends_more_than_its_cap():
     # each call makes one meter, and the count it reports is that meter's
     for cap in (1, 2, 3, 7, 50, 333):

@@ -13,19 +13,11 @@ from gracecolor.tables import (
     CHI_G_COMPLETE_REFERENCE,
     FormatError,
     ValueCache,
-    known_chi_g_complete,
     load_cache,
     render_table,
     store_cache,
     table_report,
 )
-
-
-def test_reference_lookup():
-    assert known_chi_g_complete(10) == 24
-    assert known_chi_g_complete(23) == 82
-    assert known_chi_g_complete(33) is None
-    assert known_chi_g_complete(1) is None
 
 
 def test_reference_table_internal_consistency():
@@ -251,6 +243,26 @@ def test_store_gives_a_new_file_the_mode_open_would(tmp_path, umask):
     assert (tmp_path / "cache.txt").stat().st_mode == (tmp_path / "opened.txt").stat().st_mode
 
 
+def test_a_failed_replace_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(b"L 1 1 1\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        store_cache(ValueCache({1: (1, (1,)), 2: (2, (1, 2))}), str(path))
+    assert path.read_bytes() == b"L 1 1 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["cache.txt"]
+
+
+def test_seeding_an_inconsistent_level_is_a_format_error():
+    with pytest.raises(FormatError) as caught:
+        ValueCache({1: (2, (1, 2))}).seed_engine(Ap3Engine())
+    assert str(caught.value).startswith("inconsistent L records")
+
+
 def test_seed_engine_round_trip(tmp_path):
     engine = Ap3Engine()
     engine.longest(20)
@@ -288,7 +300,7 @@ def test_table_report_budget_midway_never_wrong(cap, proven):
     rows = table_report(12, SolveBudget(max_nodes=cap))
     for row in rows:
         if row.status == "ok":
-            assert row.computed == known_chi_g_complete(row.n)
+            assert row.computed == CHI_G_COMPLETE_REFERENCE[row.n][0]
         else:
             assert row.status == "unproven"
             assert row.computed is None
