@@ -17,6 +17,10 @@ mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error,
 or stdout closed by its reader.
 Results go to stdout, diagnostics to stderr.  Identical invocations with the
 same cache state produce byte-identical output (timings are never printed).
+Every subcommand's stdout is written once, in 64 KiB pieces, after its
+handler returns, so a reader that closes stdout early always gets exit 4
+and nothing on stderr.  A ladder command stores its cache before anything
+is printed.
 """
 
 from __future__ import annotations
@@ -71,7 +75,9 @@ def _seconds(token: str) -> float:
 def _build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it acts on: all take --records, the
     # searching ones also a budget, and the ladder ones, which read and extend
-    # the cache of proven L levels, also --cache.  Each names its handler.
+    # the cache of proven L levels, also --cache.  Each names its handler,
+    # which takes the parsed arguments and returns (exit code, stdout text,
+    # stderr note); an empty note writes nothing to stderr.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--records", action="store_true",
                         help="line-oriented machine-readable output")
@@ -149,7 +155,8 @@ def _csv(values: Sequence[int]) -> str:
 
 def run(argv: Sequence[str], stdout: TextIO | None = None,
         stderr: TextIO | None = None) -> int:
-    """Execute one CLI invocation; returns the exit code."""
+    """Execute one CLI invocation; returns the exit code.  Only this function
+    writes to stdout and stderr: the handler's text, then its note."""
     out = stdout or sys.stdout
     err = stderr or sys.stderr
     parser = _build_parser()
@@ -161,18 +168,19 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
     try:
-        return args.handler(args, out, err)
+        code, text, note = args.handler(args)
+        _write(out, text)
     except BrokenPipeError:
         return EXIT_IO  # the reader closed stdout; nothing left to tell it
     except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_IO
+        code, note = EXIT_IO, f"error: {exc}"
     except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=err)
-        return EXIT_BUDGET
+        code, note = EXIT_BUDGET, f"budget exhausted: {exc}"
     except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
+        code, note = EXIT_USAGE, f"error: {exc}"
+    if note:
+        print(note, file=err)
+    return code
 
 
 def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudget], T]) -> T:
@@ -200,99 +208,78 @@ def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudg
     return outcome
 
 
-def _verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _verify(args: argparse.Namespace) -> tuple[int, str, str]:
     g = parse_graph(read_text(args.graph))
     coloring = parse_coloring(read_text(args.coloring), args.palette)
     report = verify_graceful(g, coloring)
     if report.valid:
-        print("valid" if not args.records else f"valid {coloring.palette}", file=out)
-        return EXIT_OK
+        return EXIT_OK, (f"valid {coloring.palette}\n" if args.records else "valid\n"), ""
+    violation = report.violation
     if args.records:
-        kind = report.violation.kind
-        print(f"invalid {kind} {_csv(report.violation.vertices)}", file=out)
-    else:
-        print(f"invalid: {report.violation}", file=out)
-    return EXIT_INVALID
+        return EXIT_INVALID, f"invalid {violation.kind} {_csv(violation.vertices)}\n", ""
+    return EXIT_INVALID, f"invalid: {violation}\n", ""
 
 
-def _solve(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _solve(args: argparse.Namespace) -> tuple[int, str, str]:
     report = solver.chi_g(parse_graph(read_text(args.graph)), _budget(args))
-    return _emit_solve(report, "chi_g", report.witness and report.witness.colors,
-                       args, out, err)
+    return _solved(report, "chi_g", report.witness and report.witness.colors, args)
 
 
-def _chromatic(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _chromatic(args: argparse.Namespace) -> tuple[int, str, str]:
     report = solver.chromatic_number(parse_graph(read_text(args.graph)), _budget(args))
-    return _emit_solve(report, "chi", report.witness, args, out, err)
+    return _solved(report, "chi", report.witness, args)
 
 
-def _emit_solve(report: solver.SolveReport, label: str, colors: Sequence[int] | None,
-                args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _solved(report: solver.SolveReport, label: str, colors: Sequence[int] | None,
+            args: argparse.Namespace) -> tuple[int, str, str]:
     if report.status == solver.EXHAUSTED:
-        print(f"budget exhausted after {report.nodes} nodes", file=err)
-        return EXIT_BUDGET
+        return EXIT_BUDGET, "", f"budget exhausted after {report.nodes} nodes"
     if args.records:
-        print(f"{label} {report.value} {_csv(colors)}", file=out)
-    else:
-        print(f"{label} = {report.value}", file=out)
-        print(f"witness: {_csv(colors)}", file=out)
-        print(f"nodes: {report.nodes}", file=out)
-    return EXIT_OK
+        return EXIT_OK, f"{label} {report.value} {_csv(colors)}\n", ""
+    return (EXIT_OK, f"{label} = {report.value}\nwitness: {_csv(colors)}\n"
+                     f"nodes: {report.nodes}\n", "")
 
 
-def _characterize(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _characterize(args: argparse.Namespace) -> tuple[int, str, str]:
     result = solver.characterize(parse_graph(read_text(args.graph)), _budget(args))
-    flags = {True: "true", False: "false"}
     if args.records:
-        print(f"{result.chi} {result.chi_g} "
-              f"{int(result.equal)} {int(result.chi_g_is_3)}", file=out)
-    else:
-        print(f"chi = {result.chi}", file=out)
-        print(f"chi_g = {result.chi_g}", file=out)
-        print(f"equal = {flags[result.equal]}", file=out)
-        print(f"chi_g_is_3 = {flags[result.chi_g_is_3]}", file=out)
-    return EXIT_OK
+        return (EXIT_OK, f"{result.chi} {result.chi_g} "
+                         f"{int(result.equal)} {int(result.chi_g_is_3)}\n", "")
+    return (EXIT_OK, f"chi = {result.chi}\nchi_g = {result.chi_g}\n"
+                     f"equal = {str(result.equal).lower()}\n"
+                     f"chi_g_is_3 = {str(result.chi_g_is_3).lower()}\n", "")
 
 
-def _complete(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _complete(args: argparse.Namespace) -> tuple[int, str, str]:
     coloring = _ladder(args, lambda engine, budget: chi_g_complete(args.n, budget, engine))
     if args.records:
-        print(f"{args.n} {coloring.palette} {_csv(coloring.colors)}", file=out)
-    else:
-        print(f"chi_g(K_{args.n}) = {coloring.palette}", file=out)
-        print(f"witness: {_csv(coloring.colors)}", file=out)
-    return EXIT_OK
+        return EXIT_OK, f"{args.n} {coloring.palette} {_csv(coloring.colors)}\n", ""
+    return (EXIT_OK, f"chi_g(K_{args.n}) = {coloring.palette}\n"
+                     f"witness: {_csv(coloring.colors)}\n", "")
 
 
-def _ap3_longest(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _ap3_longest(args: argparse.Namespace) -> tuple[int, str, str]:
     result = _ladder(args, lambda engine, budget: engine.longest(args.m, budget))
+    code = EXIT_OK if result.proven else EXIT_BUDGET
     if args.records:
         status = "proven" if result.proven else "unproven"
-        print(f"{args.m} {result.value} {status} {_csv(result.witness)}", file=out)
-    else:
-        suffix = "" if result.proven else " (unproven lower bound)"
-        print(f"L({args.m}) = {result.value}{suffix}", file=out)
-        print(f"witness: {_csv(result.witness)}", file=out)
-    return EXIT_OK if result.proven else EXIT_BUDGET
+        return code, f"{args.m} {result.value} {status} {_csv(result.witness)}\n", ""
+    suffix = "" if result.proven else " (unproven lower bound)"
+    return code, f"L({args.m}) = {result.value}{suffix}\nwitness: {_csv(result.witness)}\n", ""
 
 
-def _ap3_minspan(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _ap3_minspan(args: argparse.Namespace) -> tuple[int, str, str]:
     result = _ladder(args, lambda engine, budget: engine.min_span(args.k, budget))
     if result.proven:
         if args.records:
-            print(f"{args.k} {result.value} proven {_csv(result.witness)}", file=out)
-        else:
-            print(f"a({args.k}) = {result.value}", file=out)
-            print(f"witness: {_csv(result.witness)}", file=out)
-        return EXIT_OK
+            return EXIT_OK, f"{args.k} {result.value} proven {_csv(result.witness)}\n", ""
+        return EXIT_OK, f"a({args.k}) = {result.value}\nwitness: {_csv(result.witness)}\n", ""
     if args.records:
-        print(f"{args.k} - unproven", file=out)
-    else:
-        print(f"a({args.k}) unproven: exceeds {result.value}", file=out)
-    return EXIT_BUDGET
+        return EXIT_BUDGET, f"{args.k} - unproven\n", ""
+    return EXIT_BUDGET, f"a({args.k}) unproven: exceeds {result.value}\n", ""
 
 
-def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _ap3_check(args: argparse.Namespace) -> tuple[int, str, str]:
     try:
         values = tuple(read_ints(args.elements.split(",")))
     except FormatError as exc:
@@ -300,25 +287,20 @@ def _ap3_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     ordered = tuple(sorted(set(values)))
     free = ap3.is_ap3_free(ordered)
     label = "3-AP-free" if free else "not 3-AP-free"
-    print(f"{label}: ({_csv(values)})", file=out)
-    return EXIT_OK if free else EXIT_INVALID
+    return (EXIT_OK if free else EXIT_INVALID), f"{label}: ({_csv(values)})\n", ""
 
 
-def _table(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _table(args: argparse.Namespace) -> tuple[int, str, str]:
     rows = _ladder(args, lambda engine, budget: tables.table_report(args.n_max, budget, engine))
-    _write(out, tables.render_table(rows, records=args.records))
+    text = tables.render_table(rows, records=args.records)
     statuses = {row.status for row in rows}
     if tables.STATUS_MISMATCH in statuses:
-        print("reference mismatch detected", file=err)
-        return EXIT_INVALID
-    if tables.STATUS_UNPROVEN in statuses:
-        return EXIT_BUDGET
-    return EXIT_OK
+        return EXIT_INVALID, text, "reference mismatch detected"
+    return (EXIT_BUDGET if tables.STATUS_UNPROVEN in statuses else EXIT_OK), text, ""
 
 
-def _gen(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    _write(out, serialize_graph(GraphFamily(args.family, tuple(args.params)).build()))
-    return EXIT_OK
+def _gen(args: argparse.Namespace) -> tuple[int, str, str]:
+    return EXIT_OK, serialize_graph(GraphFamily(args.family, tuple(args.params)).build()), ""
 
 
 def main() -> None:

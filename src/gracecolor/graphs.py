@@ -113,7 +113,9 @@ class Graph:
         for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n, tuple(normalized), tuple(tuple(sorted(a)) for a in adj))
+        # each list is ascending already: every edge (u, x), u < x, precedes
+        # every edge (x, v), x < v, and each group comes in ascending order
+        return cls(n, tuple(normalized), tuple(map(tuple, adj)))
 
 
 def max_degree(g: Graph) -> int:

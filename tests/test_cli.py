@@ -62,6 +62,16 @@ def test_verify_palette_flag(tmp_path, p3_file):
     assert "color-out-of-range" in out
 
 
+@pytest.mark.parametrize("colors, flags, line", [
+    ("1 1 2", (), "invalid adjacent-equal 0,1"),
+    ("2 1 3", ("--palette", "2"), "invalid color-out-of-range 2"),
+    ("1 2 3", (), "invalid duplicate-incident-difference 1,0,2"),
+])
+def test_verify_records_name_the_violation(tmp_path, p3_file, colors, flags, line):
+    path = coloring_file(tmp_path, colors + "\n")
+    assert invoke("verify", p3_file, path, "--records", *flags) == (1, line + "\n", "")
+
+
 def test_solve(k4_file):
     code, out, _ = invoke("solve", k4_file)
     assert code == 0
@@ -161,6 +171,15 @@ def test_ap3_minspan():
     code, out, _ = invoke("ap3", "minspan", "5")
     assert code == 0
     assert out == "a(5) = 9\nwitness: 1,2,4,8,9\n"
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (("longest", "20"), 0, "20 9 proven 1,2,6,7,9,14,15,18,20"),
+    (("longest", "40", "--max-nodes", "50"), 3, "40 8 unproven 1,2,4,5,10,11,13,14"),
+    (("minspan", "9"), 0, "9 20 proven 1,2,6,7,9,14,15,18,20"),
+])
+def test_ap3_records(argv, code, line):
+    assert invoke("ap3", *argv, "--records") == (code, line + "\n", "")
 
 
 def test_ap3_minspan_budget():
@@ -368,18 +387,22 @@ def _close_after_a_line(pipe):
 
 
 @pytest.mark.parametrize("reader", [_close_at_once, _close_after_a_line])
-def test_closed_stdout_exits_4_quietly(reader):
+def test_closed_stdout_exits_4_quietly(reader, tmp_path):
     """A reader that closes stdout early gets exit code 4 and no message,
-    whether it closes before the command writes or in the middle of it."""
+    whether it closes before the command writes or in the middle of it, and
+    whether the command writes a long document or a long witness line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    with subprocess.Popen([sys.executable, "-m", "gracecolor", "gen", "path", "200000"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          env=env) as proc:
-        reader(proc.stdout)
-        stderr = proc.stderr.read()
-        assert (proc.wait(timeout=60), stderr) == (4, "")
+    path = tmp_path / "path.txt"
+    path.write_text(invoke("gen", "path", "50000")[1])  # a 100 KB witness line
+    for argv in (["gen", "path", "200000"], ["chromatic", str(path)]):
+        with subprocess.Popen([sys.executable, "-m", "gracecolor", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env) as proc:
+            reader(proc.stdout)
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=60), stderr) == (4, "")
 
 
 def test_byte_identical_output(k4_file):

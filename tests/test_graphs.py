@@ -116,6 +116,8 @@ def test_round_trip_on_random_graphs():
         n = rng.randint(1, 50)
         g = random_connected_graph(rng, n)
         assert parse_graph(serialize_graph(g)) == g
+        # every adjacency tuple is ascending
+        assert all(list(a) == sorted(a) for a in g.adjacency)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
