@@ -51,6 +51,29 @@ The graceful chromatic number is found by iterative deepening, k =
 lower_bound, lower_bound+1, ..., and the first success is exact because
 every smaller k was refuted exhaustively.
 
+Twins.  Vertices with one neighbour tuple are false twins, and no two of
+them are adjacent, since v is not in N(v).  Swapping two twins u and v maps
+every edge to an edge, so it is an automorphism, and it maps every graceful
+coloring to a graceful coloring.  Twins always get distinct colors: a
+connected graph with two or more vertices has no isolated vertex, so u and
+v share a neighbour w, and wu and wv must differ in color.  So within each
+twin class the colors may be required to ascend with the vertex index:
+after x gets color c, every uncolored later class-mate of x keeps only the
+colors above c, and every earlier one only the colors below c.  The
+reflection break stays sound with this order.  The first vertex is the
+lowest-index vertex of maximum degree, and twins share a degree, so it
+comes first in its class.  Take any graceful k-coloring and sort every
+class.  If the first vertex's color is above ceil(k/2), reflect, which
+reverses every class, and sort again: the first vertex then holds its
+class's least color, which is at most k + 1 minus its old color, at most
+ceil(k/2).  Both moves keep the degree-reach cut, since twins share a
+degree.  The order's cuts run after rules 1-3 and before the toggle: a
+prune after the toggle would return with x's color still in nbr, which no
+undo clears.  Adjacent twins, such as the vertices of K_n, are left
+unordered; ordering them turns K_n into a sorted-set search, which is the
+ladder kernel's job.  The chromatic kernel uses no twin order, since false
+twins may share a proper color.
+
 Chromatic rule.  c is dropped from every uncolored neighbor's domain, and
 the colors worth trying are 1..min(k, u+1), where u is the largest color on
 the branch, so new colors enter in canonical order.  This break stays
@@ -142,6 +165,16 @@ def _search_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
 
 
+def _twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Every class of two or more vertices with one neighbour tuple, each in
+    ascending index order.  These are false twins: v is not in N(v), so no
+    two of them are adjacent."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, nb in enumerate(g.adjacency):
+        classes.setdefault(nb, []).append(v)
+    return [tuple(cls) for cls in classes.values() if len(cls) > 1]
+
+
 _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] | None"]
 _Undo = Callable[[int, int], None]
 
@@ -225,6 +258,11 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     # propagate toggles x's color in after its last prune, and _search
     # toggles it out as its undo hook.
     nbr = [0] * g.n, [0] * g.n
+    # mates[v] is None, or v's earlier and later class-mates (see "Twins")
+    mates: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * g.n
+    for cls in _twin_classes(g):
+        for i, v in enumerate(cls):
+            mates[v] = cls[:i], cls[i + 1:]
 
     def toggle(x, c):
         same, own = nbr[c & 1], 1 << (c >> 1)
@@ -260,6 +298,15 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
             if not mask:
                 return None
             nd[v] = mask
+        if mates[x] is not None:  # the twin order, before the toggle
+            earlier, later = mates[x]
+            for vs, keep in ((earlier, bit - 1), (later, -bit << 1)):
+                for v in vs:
+                    if not colors[v]:
+                        mask = nd[v] & keep
+                        if not mask:
+                            return None
+                        nd[v] = mask
         toggle(x, c)
         return nd, full
 

@@ -47,6 +47,19 @@ def random_connected_graph(rng: random.Random, n: int, density: float = 0.35) ->
     return Graph.from_edges(n, sorted(edges))
 
 
+def complete_multipartite(*parts: int) -> Graph:
+    """Parts of the given sizes, numbered in turn; two vertices are adjacent
+    iff they lie in different parts."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return Graph.from_edges(len(part), [(u, v) for u, v in itertools.combinations(
+        range(len(part)), 2) if part[u] != part[v]])
+
+
+def clone_vertex(g: Graph, v: int) -> Graph:
+    """g plus a new vertex g.n with v's neighbours, a false twin of v."""
+    return Graph.from_edges(g.n + 1, [*g.edges, *((u, g.n) for u in g.adjacency[v])])
+
+
 def grid(rows: int, cols: int) -> Graph:
     def vid(r, c):
         return r * cols + c
@@ -111,12 +124,16 @@ def _graceful_on(edges, colors) -> bool:
     return True
 
 
-def reference_graceful_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None, int]:
+def reference_graceful_search(g: Graph, k: int,
+                              twins: bool = True) -> tuple[tuple[int, ...] | None, int]:
     """The graceful decision search with every domain recomputed from the
     definition at every node: y is open at an uncolored v iff the colored
     vertices plus v = y are gracefully colored on the edges among them, and
     the palette holds as many distinct nonzero differences |y - z| as v has
-    edges, which must all get distinct colors.  Same order as the solver:
+    edges, which must all get distinct colors.  With twins, the colors of
+    every set of vertices with one neighbour set also ascend with the index:
+    y is closed at v when a colored w < v of v's class has a color >= y, or
+    a colored w > v has a color <= y.  Same order as the solver:
     the next vertex has the fewest open colors, ties to the higher degree
     and then the lower index; the first one tries its open colors up to
     ceil(k/2); colors ascend; a node is one color tried at one vertex.  A
@@ -126,15 +143,22 @@ def reference_graceful_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None,
     rank = {v: i for i, v in enumerate(order)}
     colors = [0] * g.n
     nodes = 0
+    neighbours = [{w for e in g.edges if v in e for w in e if w != v} for v in range(g.n)]
+    mates = [[w for w in range(g.n) if twins and w != v and neighbours[w] == neighbours[v]]
+             for v in range(g.n)]
 
     def reaches(v, y):
         return len({abs(y - z) for z in range(1, k + 1) if z != y}) >= len(g.adjacency[v])
+
+    def ordered(v, y):
+        return all(not colors[w] or (colors[w] < y if w < v else colors[w] > y)
+                   for w in mates[v])
 
     def open_colors(v):
         found = []
         for y in range(1, k + 1):
             colors[v] = y
-            if reaches(v, y) and _graceful_on(
+            if reaches(v, y) and ordered(v, y) and _graceful_on(
                     [e for e in g.edges if colors[e[0]] and colors[e[1]]], colors):
                 found.append(y)
         colors[v] = 0

@@ -87,6 +87,14 @@ def test_solve_records(k4_file):
     assert fields[0] == "chi_g" and fields[1] == "5"
 
 
+def test_solve_orders_twins_within_a_small_node_cap(tmp_path):
+    # each side of K_{7,7} is a twin class, so its 14-coloring takes 14 nodes
+    graph = tmp_path / "k77.txt"
+    graph.write_text(invoke("gen", "complete_bipartite", "7", "7")[1])
+    code, out, _ = invoke("solve", str(graph), "--max-nodes", "100", "--records")
+    assert (code, out) == (0, "chi_g 14 " + ",".join(map(str, range(1, 15))) + "\n")
+
+
 def test_solve_budget_exhausted(k4_file):
     code, out, err = invoke("solve", k4_file, "--max-nodes", "2")
     assert code == 3

@@ -1,6 +1,7 @@
 """Exact solver: bounds, decisions, iterative deepening, characterization."""
 
 import dataclasses
+import os
 import random
 
 import pytest
@@ -37,7 +38,9 @@ from support import (
     all_graphs,
     brute_force_chi_g,
     canonical_form,
+    clone_vertex,
     cnf_graceful_coloring,
+    complete_multipartite,
     diameter,
     graceful_valid_oracle,
     grid,
@@ -141,17 +144,29 @@ def test_decision_refutes_exactly_below_chi_g():
 def test_decision_matches_reference_search():
     """The propagation rule leaves open exactly the colors the definition
     allows: status, witness and node count equal those of a search that
-    recomputes every domain from scratch at every node."""
+    recomputes every domain from scratch at every node.  The draws include
+    graphs with twins, and every status also equals that of the reference
+    search without the twin order, so the order loses no palette."""
     rng = random.Random(8808)
+    graphs = []
     for _ in range(36):
         n = rng.randint(6, 9)
-        g = random_connected_graph(rng, n, density=0.6 if n < 8 else rng.choice((0.2, 0.35)))
+        graphs.append(random_connected_graph(
+            rng, n, density=0.6 if n < 8 else rng.choice((0.2, 0.35))))
+    for _ in range(8):
+        graphs.append(complete_multipartite(*(rng.randint(1, 3)
+                                              for _ in range(rng.randint(2, 3)))))
+        g = random_connected_graph(rng, rng.randint(5, 7), density=rng.choice((0.2, 0.5)))
+        graphs.append(clone_vertex(g, rng.randrange(g.n)))
+    for g in graphs:
         for k in range(max(2, graceful_lower_bound(g)), chi_g(g).value + 1):
             report = solve_graceful_decision(g, k)
             colors, nodes = reference_graceful_search(g, k)
             assert report.status == (SOLVED if colors else INFEASIBLE), (g.edges, k)
             witness = report.witness.colors if report.witness else None
             assert (witness, report.nodes) == (colors, nodes), (g.edges, k)
+            unordered, _ = reference_graceful_search(g, k, twins=False)
+            assert (colors is None) == (unordered is None), (g.edges, k)
 
 
 @pytest.mark.parametrize("name,build,value", [
@@ -218,8 +233,12 @@ def test_chromatic_tree_solved_within_node_cap():
 
 
 @pytest.mark.parametrize("build,value,nodes", [
-    pytest.param(lambda: complete_bipartite(3, 4), 7, 17, id="K3,4"),
-    pytest.param(lambda: complete_bipartite(4, 5), 9, 145, id="K4,5"),
+    pytest.param(lambda: complete_bipartite(3, 4), 7, 7, id="K3,4"),
+    pytest.param(lambda: complete_bipartite(4, 4), 8, 8, id="K4,4"),
+    pytest.param(lambda: complete_bipartite(4, 5), 9, 9, id="K4,5"),
+    pytest.param(lambda: complete_bipartite(7, 7), 14, 14, id="K7,7"),
+    pytest.param(lambda: complete_multipartite(3, 3, 3), 12, 4769, id="K3,3,3"),
+    pytest.param(lambda: complete_multipartite(4, 4, 4), 15, 24955, id="K4,4,4"),
     pytest.param(lambda: wheel(8), 8, 8, id="W8"),
     pytest.param(lambda: cycle(7), 4, 7, id="C7"),
     pytest.param(lambda: complete(6), 11, 4020, id="K6"),
@@ -235,6 +254,33 @@ def test_chi_g_nodes_are_pinned(build, value, nodes):
     # that only makes a node cheaper keeps them.
     report = chi_g(build())
     assert (report.status, report.value, report.nodes) == (SOLVED, value, nodes)
+
+
+@pytest.mark.parametrize("parts,value", [
+    ((2, 2, 2), 7),
+    ((2, 2, 2, 2), 10),
+    ((3, 3, 3), 12),
+    ((4, 4, 4), 15),
+    pytest.param((2, 2, 2, 2, 2), 16, marks=pytest.mark.skipif(
+        not os.environ.get("GRACECOLOR_EXTENDED"),
+        reason="optional tier: set GRACECOLOR_EXTENDED=1 (about 2 seconds)")),
+], ids=lambda p: "K" + ",".join(map(str, p)) if isinstance(p, tuple) else None)
+def test_chi_g_of_complete_multipartite_graphs(parts, value):
+    # the values that a set-theoretic search over the parts' colors must match
+    g = complete_multipartite(*parts)
+    report = chi_g(g)
+    assert (report.status, report.value) == (SOLVED, value)
+    assert verify_graceful(g, report.witness).valid
+
+
+def test_ordering_a_pair_that_is_not_twins_changes_chi_g(monkeypatch):
+    # vertices 0 and 2 of the path 0-2-1 are not twins.  At k = 3 the
+    # center, the first vertex, tries colors 1 and 2: 2 gives both edges
+    # color 1, and ordering the pair leaves vertex 0 no color below 1
+    g = Graph.from_edges(3, [(0, 2), (1, 2)])
+    assert brute_force_chi_g(g) == chi_g(g).value == 3
+    monkeypatch.setattr(solver, "_twin_classes", lambda _: [(0, 2)])
+    assert chi_g(g).value == 4
 
 
 @pytest.mark.parametrize("compute,checks", [(chi_g, 1), (characterize, 2)],
