@@ -23,9 +23,16 @@ value wrong: a witness that fails check_level never enters the map, and
 its level is searched; a table that puts a(t) too late is overtaken, as
 the search at the true level finds a set first; and it cannot put a(t)
 too early, as its witness would have to be a valid t-set within [1..m].
-Every flat level, where L(m) = L(m-1), is still refuted by search, and
-past the table, beyond m = 122, every level is searched; so the search
-only ever sees t >= 3, as L(m-1) >= 2 for m >= 3.
+Every flat level, where L(m) = L(m-1), is refuted by a search of its own,
+and past the table, beyond m = 122, every level is searched; so the search
+only ever sees t >= 3, as L(m-1) >= 2 for m >= 3.  One search at the top
+of a flat run cannot stand in for the run: a search at m rules out only
+the t-sets that span exactly [1..m], which are all the t-sets of [1..m]
+only once L(m-1) < t is proven, and the spans of t-sets have gaps.  A
+13-set spans [1..32] and one spans [1..34], but none spans [1..33]; so a
+table entry a(13) = 34, with a valid 13-set spanning [1..34], passes
+check_level, and a search at its top, 33, finds nothing, while
+L(32) = 13.
 
 A searched level is decided by a search over lower-heavy sets only, those
 with no more members above the middle of [1..m] than below it: each set or
@@ -35,7 +42,10 @@ t-set has at least t - t//2 members in the lower half [1..m//2].  A
 candidate v with `need` interior members still to follow it comes after
 t-2-need chosen members, so v and the members after it must supply at
 least r = need+2 - t//2 lower members, all in [v..m//2].  When r >= 1
-that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r).  The set that
+that needs r <= L(m//2+1-v), that is v <= m//2+1-a(r).  They must also
+be open candidates: a frame whose picks owe r lower members ends as soon
+as fewer than r of its open candidates are lower, and a child is refused
+before push on the same count.  The set that
 search finds is the level's witness, the lexicographically first
 lower-heavy set; so a certified level carries the table's witness, and a
 searched level where L grows the first lower-heavy set.  The two differ
@@ -304,11 +314,18 @@ class Ap3Engine:
         Otherwise the halves search decides the level: it looks only at
         lower-heavy sets, and holds each candidate to the lower-count window,
         which leaves room below the middle of [1..m] for the lower members
-        the set still owes.  The set it finds, the lexicographically first
-        lower-heavy one, is the level's witness.  A level the budget stops in
-        its search, or at its certifying node, is not recorded.  Every level
-        draws on one meter, and stats.nodes is that meter's count.  Returns
-        the stats and whether the climb finished before the budget ran out."""
+        the set still owes, and each frame to its open lower candidates,
+        which must number at least as many.  The set it finds, the
+        lexicographically first lower-heavy one, is the level's witness.
+        Each level is decided on its own, flat levels too: a search at m
+        rules out only the sets that span exactly [1..m], which are all the
+        sets of its size in [1..m] because the level below, already proven,
+        holds fewer; and the spans of a size have gaps (see the module
+        docstring), so no one search refutes a whole flat run.  A level the
+        budget stops in its search, or at its certifying node, is not
+        recorded.  Every level draws on one meter, and stats.nodes is that
+        meter's count.  Returns the stats and whether the climb finished
+        before the budget ran out."""
         meter = BudgetMeter(budget)
         stats = SearchStats()
         proven = True
@@ -402,19 +419,34 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     candidates above it (the popcount test); that count only falls, so a
     failure ends the frame.
 
+    Open lower candidates.  The r = need+2 - target//2 lower members that a
+    frame's pick and the `need` after it owe are open candidates of that
+    frame: each later member is open in the frame it is picked from, whose
+    candidates are open in its parent.  So once a pick is taken, a frame
+    whose remaining open candidates hold fewer than r lower ones can take no
+    further pick and ends; and a child with fewer than r-1, what its own
+    picks owe, is refused before push.  Neither cuts a lower-heavy set.
+
     Check before push.  A child frame is pushed only if it has an open
-    candidate in window[need-1] (a prefix, so its lowest one is in it) and
-    at least `need` open candidates: otherwise its first candidate would
-    fail the window or the popcount test and end it at once.
+    candidate in window[need-1] (a prefix, so its lowest one is in it), at
+    least `need` open candidates and enough open lower ones: otherwise its
+    first candidate would fail the window or the popcount test and end it at
+    once, or it could not find the lower members it owes.
 
     Counts.  A node is a candidate taken off a frame inside its window, and
     the budget is charged per node; the meter holds the count.  A prune is
     a frame the window ends with candidates left, a candidate failing the
-    popcount test, or a child refused before push; stats holds the prunes.
+    popcount test, a frame ended with candidates left for want of open lower
+    ones, or a child refused before push; stats holds the prunes.
     Levels 1 and 2, the only ones with a target below 3, are not searched:
     the climb certifies them for one node each from _CERTIFIED.
 
-    Requires target >= 3, so m >= 3, and lengths[t] = L(t) for all t < m.
+    Requires target >= 3, so m >= 3, and target = L(m-1) + 1, which the
+    endpoint argument uses.  Of `lengths` the search reads only a(n) for
+    n < target, as bisect_left(lengths, n), the least i with lengths[i] >= n;
+    so lengths must be L(0..x) for some x with L(x) >= target - 1, as the
+    ladder's levels below m are: L is non-decreasing, so the least such i
+    is the least i with L(i) >= n, which is a(n).
     """
     span = [bisect_left(lengths, n) for n in range(target)]  # a(n) for n < target
     m2 = 2 * m
@@ -422,6 +454,8 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
     top = target - 3  # interior elements still to place after s2
     window = [_upto(min(m + 1 - span[n + 2], _lower_limit(m, target, n, span)))
               for n in range(top + 1)]
+    lower = _upto(m // 2)
+    owed = 2 - target // 2  # a frame's picks owe need + owed lower members
     need, free, mirror = top, ((1 << m) - 4) & ~mids[1], 1 << (m2 - 1)
     w = window[top]
     stack: list[tuple[int, int, int]] = []
@@ -449,7 +483,11 @@ def _find_of_size(m: int, target: int, lengths: Sequence[int], meter: BudgetMete
             if not need:
                 return (*(m2 - i for i in range(m2 - 1, m, -1) if mirror >> i & 1), v, m)
             child = free & ~(mirror >> (m2 - 2 * v) | mids[v])
-            if child & window[need - 1] and child.bit_count() >= need:
+            if free and need + owed > (free & lower).bit_count():
+                prunes += 1
+                free = 0
+            if (child & window[need - 1] and child.bit_count() >= need
+                    and (child & lower).bit_count() >= need - 1 + owed):
                 stack.append((need, free, mirror))
                 need -= 1
                 free, mirror, w = child, mirror | 1 << (m2 - v), window[need]

@@ -279,6 +279,26 @@ def ended_progression_free_sets(m: int):
     yield from extend([1])
 
 
+def spans_exactly(m: int, size: int) -> bool:
+    """Does some progression-free set of `size` >= 2 members hold both 1 and
+    m?  Depth-first extension in increasing order with m reserved: a new
+    member c is refused when some chosen a has its midpoint with c chosen,
+    or has c as its midpoint with m; and c leaves room below m for the
+    members still to come."""
+    def extend(chosen, left):
+        if not left:
+            return True
+        for c in range(chosen[-1] + 1, m - left + 1):
+            if not any((a + c) % 2 == 0 and (a + c) // 2 in chosen or a + m == 2 * c
+                       for a in chosen):
+                chosen.append(c)
+                if extend(chosen, left - 1):
+                    return True
+                chosen.pop()
+        return False
+    return extend([1], size - 2)
+
+
 def is_lower_heavy(values, m: int) -> bool:
     """No more members x with 2x > m + 1 (the upper half of [1..m]) than
     with 2x < m + 1 (the lower half); the middle of an odd m is in neither."""

@@ -10,9 +10,9 @@ from gracecolor import ap3
 from gracecolor.ap3 import (Ap3Engine, SearchStats, _find_of_size, _lower_limit,
                             check_level, is_ap3_free)
 from gracecolor.budget import BudgetMeter, SolveBudget
-from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
+from gracecolor.tables import CHI_G_COMPLETE_REFERENCE, table_report
 from support import (contains_progression, ended_progression_free_sets, is_lower_heavy,
-                     longest_by_enumeration)
+                     longest_by_enumeration, spans_exactly)
 
 # -- membership ----------------------------------------------------------------
 
@@ -176,15 +176,26 @@ def test_searched_ladder_levels_check_up_to_100(searched_ladder):
 
 
 def test_cold_ladder_nodes_are_pinned_at_63(searched_ladder):
-    # a looser window keeps every value and witness; only the count shows it
-    assert Ap3Engine().longest(63).stats.nodes == 258_006
+    # a looser window or lower-candidate count keeps every value and
+    # witness; only the count shows it
+    assert Ap3Engine().longest(63).stats.nodes == 198_169
 
 
 def test_certified_ladder_nodes_are_pinned_at_63():
-    # 207,312 nodes refute the flat levels; each of the 20 levels where L
+    # 158,615 nodes refute the flat levels; each of the 20 levels where L
     # grows costs one: m = 1, whose only set is {1}, and the certified
     # a(2..20)
-    assert Ap3Engine().longest(63).stats.nodes == 207_332
+    assert Ap3Engine().longest(63).stats.nodes == 158_635
+
+
+def test_ladder_nodes_do_not_depend_on_how_it_is_queried():
+    # one level per call, one call to L(63), and a table to a(20) = 63 each
+    # decide the same levels once: the table stops one node short of them
+    engine = Ap3Engine()
+    stepped = sum(engine.longest(m).stats.nodes for m in range(1, 64))
+    assert stepped == Ap3Engine().longest(63).stats.nodes == 158_635
+    assert all(row.status == "ok" for row in table_report(20, SolveBudget(max_nodes=stepped)))
+    assert table_report(20, SolveBudget(max_nodes=stepped - 1))[-1].status == "unproven"
 
 
 def climbed_levels(m):
@@ -207,28 +218,49 @@ def test_certified_and_searched_climbs_agree_up_to_63(request):
         previous = value
 
 
-# A valid 9-set spanning [1..21], one past a(9) = 20
+# Valid sets spanning one and three levels past a(9) = 20, and two past
+# a(13) = 32, where no 13-set spans [1..33]
 _NINE_SPANNING_21 = (1, 2, 4, 5, 12, 14, 15, 17, 21)
+_NINE_SPANNING_23 = (1, 2, 4, 5, 11, 15, 16, 22, 23)
+_THIRTEEN_SPANNING_34 = (1, 3, 4, 6, 10, 12, 13, 24, 26, 27, 31, 32, 34)
 
 
-@pytest.mark.parametrize("entry", [
-    (20, (1, 2, 6, 7, 9, 14, 16, 18, 20)),  # holds 14, 16, 18
-    (20, (2, 3, 7, 8, 10, 15, 16, 19, 21)),  # misses 20: a(9)'s set shifted up
-    (21, _NINE_SPANNING_21),  # a(9) placed one level late
-    (21, CHI_G_COMPLETE_REFERENCE[9][1]),  # a true witness under a wrong span
-], ids=["progression", "misses-m", "late", "span-not-its-witness"])
-def test_a_faulty_reference_entry_is_searched_past(monkeypatch, entry):
-    # a(9) = 20.  A table entry enters the certificate map only through
-    # check_level, and the climb uses it only at the level it names and
-    # only where its size is L(m-1) + 1, so a faulty a(9) climbs to 30
-    # exactly as a table without a(9) does: same values, witnesses and nodes
-    assert len(_NINE_SPANNING_21) == 9 and is_ap3_free(_NINE_SPANNING_21)
-    want, _ = climbed_levels(30)
-    without = {n: e for n, e in CHI_G_COMPLETE_REFERENCE.items() if n != 9}
+@pytest.mark.parametrize("n, entry", [
+    (9, (20, (1, 2, 6, 7, 9, 14, 16, 18, 20))),  # holds 14, 16, 18
+    (9, (20, (2, 3, 7, 8, 10, 15, 16, 19, 21))),  # misses 20: a(9)'s set shifted up
+    (9, (21, _NINE_SPANNING_21)),  # a(9) placed one level late
+    (9, (23, _NINE_SPANNING_23)),  # a(9) placed three levels late
+    (9, (21, CHI_G_COMPLETE_REFERENCE[9][1])),  # a true witness under a wrong span
+    (13, (34, _THIRTEEN_SPANNING_34)),  # a(13) placed late, its top on a gap
+], ids=["progression", "misses-m", "late", "three-late", "span-not-its-witness",
+        "late-over-a-gap"])
+def test_a_faulty_reference_entry_is_searched_past(monkeypatch, n, entry):
+    # a(9) = 20 and a(13) = 32.  A table entry enters the certificate map
+    # only through check_level, and the climb uses it only at the level it
+    # names and only where its size is L(m-1) + 1, so a faulty a(n) climbs
+    # to 40 exactly as a table without a(n) does: the true values, and the
+    # same witnesses and nodes.  The last entry also passes check_level, and
+    # a search at its top, m = 33, finds no 13-set, so a climb that refuted
+    # L(32..33) there would record L(32) = 12
+    assert all(is_ap3_free(s) for s in (_NINE_SPANNING_21, _NINE_SPANNING_23,
+                                         _THIRTEEN_SPANNING_34))
+    want, _ = climbed_levels(40)
+    without = {k: e for k, e in CHI_G_COMPLETE_REFERENCE.items() if k != n}
     monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates(without))
-    _, searched_nodes = climbed_levels(30)
-    monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates({**without, 9: entry}))
-    assert climbed_levels(30) == (want, searched_nodes)
+    searched = climbed_levels(40)
+    assert [value for _, value, _ in searched[0]] == [value for _, value, _ in want]
+    monkeypatch.setattr(ap3, "_CERTIFIED", ap3._certificates({**without, n: entry}))
+    assert climbed_levels(40) == searched
+
+
+def test_the_spans_of_a_size_have_gaps():
+    # why each flat level is refuted on its own: a 13-set spans [1..32] =
+    # [1..a(13)] and one spans [1..34], but none spans [1..33], so a search
+    # that finds no 13-set spanning the top of a run says nothing of the
+    # levels below it
+    assert [spans_exactly(m, 13) for m in (31, 32, 33, 34)] == [False, True, False, True]
+    assert (_THIRTEEN_SPANNING_34[0], _THIRTEEN_SPANNING_34[-1]) == (1, 34)
+    check_level(34, 13, _THIRTEEN_SPANNING_34, 12)
 
 
 # -- the search of a level ------------------------------------------------------

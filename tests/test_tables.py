@@ -293,10 +293,10 @@ def test_table_report_unproven_rows_on_tiny_budget():
 
 
 @pytest.mark.parametrize("cap, proven", [(1, 0), (2, 1), (30, 7), (200, 8),
-                                         (718, 10), (2000, 11)])
+                                         (687, 10), (2000, 11)])
 def test_table_report_budget_midway_never_wrong(cap, proven):
-    # the climb to a(12) = 30 takes 719 nodes; 30 and 200 stop it in the
-    # searches of m = 17 and m = 22, and 718 at the certified level m = 30
+    # the climb to a(12) = 30 takes 688 nodes; 30 and 200 stop it in the
+    # searches of m = 17 and m = 22, and 687 at the certified level m = 30
     rows = table_report(12, SolveBudget(max_nodes=cap))
     for row in rows:
         if row.status == "ok":
