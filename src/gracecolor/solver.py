@@ -74,6 +74,29 @@ unordered; ordering them turns K_n into a sorted-set search, which is the
 ladder kernel's job.  The chromatic kernel uses no twin order, since false
 twins may share a proper color.
 
+Leaves.  A leaf is a vertex of degree 1 whose neighbour p has degree 2 or
+more.  It constrains only p: its color y must differ from p's color c, and
+|y - c| from the colors of p's other edges.  So the graceful kernel
+searches g without its leaves, and each kept vertex keeps the start domain
+its degree in g gives and its twin classes in g; a class shares one degree
+and one neighbour tuple, so it is all kept or all leaves.  The search is
+exact.  Every graceful k-coloring of g colors the kept vertices within
+those domains, and the twin and reflection moves above act on g, so some
+coloring the search accepts extends to g whenever g has one.  The first
+vertex is unchanged: a vertex of maximum degree is kept unless g is K2.
+Conversely, let the search give p color c.  The differences p can reach
+are 1..max(c - 1, k - c), each as c - d or c + d, and the cut gave p a c
+with max(c - 1, k - c) >= deg_g(p).  p's edges to kept vertices take
+distinct differences, so at least as many differences as p has leaves are
+still free.  After a success each leaf, in index order, takes the least
+color whose difference at p is still free, which colors g gracefully;
+leaves of one parent are twins, and their colors ascend with the index.
+When p has degree 1 too, g is K2, and both ends are kept.  When every
+neighbour of p is a leaf, g is a star, and the search colors p alone.
+Removing leaves keeps g connected.  The kept vertices, their order, twin
+classes and the leaves of each parent are found once per public call, and
+every palette of the deepening searches them.
+
 Chromatic rule.  c is dropped from every uncolored neighbor's domain, and
 the colors worth trying are 1..min(k, u+1), where u is the largest color on
 the branch, so new colors enter in canonical order.  This break stays
@@ -85,8 +108,13 @@ bijection of 1..k turns phi into a proper k-coloring psi that agrees with
 the branch.  Every uncolored vertex keeps its psi color in its domain, so
 no domain empties, and the label the picked vertex needs is open there and
 at most u+1.  By induction the search reaches psi unless it returns another
-coloring first.  On a connected bipartite graph at k = 2 every vertex after
-the first has one color left when it is picked, so nothing backtracks.
+coloring first.  No palette below 3 is searched.  chi <= 2 exactly when g
+is bipartite (Koenig), and a connected bipartite graph has exactly one
+proper 2-coloring that gives the first vertex of the search order color 1:
+the one a breadth-first pass from it builds, in linear time and with no
+node.  It is the coloring the k = 2 search returned, since that search
+tries only color 1 first.  When the pass meets an odd cycle, chi >= 3, and
+the search starts at the larger of 3 and the greedy clique.
 
 Every search runs sequentially in the calling process.  Each public call
 makes one BudgetMeter from its budget, and every level of its deepening run
@@ -98,7 +126,7 @@ share its one meter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 from .checking import GracefulColoring
@@ -161,8 +189,9 @@ def _diameter_at_most_2(g: Graph) -> bool:
                for v in range(g.n))
 
 
-def _search_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+def _search_order(degree: Sequence[int]) -> list[int]:
+    """Every vertex, by degree from the highest, then by index."""
+    return sorted(range(len(degree)), key=lambda v: (-degree[v], v))
 
 
 def _twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -179,12 +208,13 @@ _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] |
 _Undo = Callable[[int, int], None]
 
 
-def _search(g: Graph, palette: int, first: int, domains: list[int], propagate: _Rule,
+def _search(order: list[int], palette: int, first: int, domains: list[int], propagate: _Rule,
             meter: BudgetMeter, undo: _Undo | None = None) -> tuple[int, ...] | None:
     """Color every vertex from 1..palette as propagate allows, or prove it
     cannot be done.  Returns per-vertex colors or None.
 
-    domains holds each vertex's start domain, a bitmask of colors in
+    order holds every vertex, the first one first, and breaks fail-first
+    ties.  domains holds each vertex's start domain, a bitmask of colors in
     1..palette; if one is empty, the search returns None before its first
     node.  first is the bitmask of colors worth trying at the first vertex.
     After colors[x] = c, propagate(x, c, colors, domains, allowed) returns
@@ -197,9 +227,8 @@ def _search(g: Graph, palette: int, first: int, domains: list[int], propagate: _
     """
     if not all(domains):
         return None
-    order = _search_order(g)
     nodes = stop = 0
-    colors = [0] * g.n
+    colors = [0] * len(domains)
     x = order[0]
     allowed = first
     todo = domains[x] & allowed
@@ -245,10 +274,53 @@ def _search(g: Graph, palette: int, first: int, domains: list[int], propagate: _
         meter.spend(nodes)
 
 
-def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
-    """Find a graceful k-coloring, or prove none exists.  Returns per-vertex
-    colors or None."""
+@dataclass(frozen=True, slots=True)
+class _Core:
+    """What the graceful kernel searches for one graph g, built once per
+    public call and shared by every palette: g without its leaves (see
+    "Leaves"), the kept vertices renumbered 0..m-1 in index order."""
+
+    n: int  # vertices of g
+    kept: tuple[int, ...]  # g's index of each core vertex
+    adjacency: tuple[tuple[int, ...], ...]  # core neighbours
+    degree: tuple[int, ...]  # degree in g, which the reach cut reads
+    order: list[int]  # by degree in g, then index
+    # mates[v] is None, or v's earlier and later class-mates (see "Twins")
+    mates: tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
+    leaves: tuple[tuple[int, tuple[int, ...]], ...]  # (core parent, its leaves in g)
+
+
+def _core(g: Graph) -> _Core:
     adj = g.adjacency
+    degree = [len(a) for a in adj]
+    leaf = [d == 1 and degree[a[0]] > 1 for d, a in zip(degree, adj)]
+    kept = [v for v in range(g.n) if not leaf[v]]
+    index = [-1] * g.n
+    for i, v in enumerate(kept):
+        index[v] = i
+    parents: dict[int, list[int]] = {}
+    for v in range(g.n):
+        if leaf[v]:
+            parents.setdefault(index[adj[v][0]], []).append(v)
+    # a twin class shares one degree and one neighbour, so it is all kept or all leaves
+    mates: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(kept)
+    for cls in _twin_classes(g):
+        if not leaf[cls[0]]:
+            cls = tuple(index[v] for v in cls)
+            for i, v in enumerate(cls):
+                mates[v] = cls[:i], cls[i + 1:]
+    kept_degree = tuple(degree[v] for v in kept)
+    return _Core(g.n, tuple(kept),
+                 tuple(tuple(index[u] for u in adj[v] if not leaf[u]) for v in kept),
+                 kept_degree, _search_order(kept_degree),
+                 tuple(mates), tuple((p, tuple(vs)) for p, vs in parents.items()))
+
+
+def _decide(core: _Core, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
+    """Find a graceful k-coloring, or prove none exists.  Returns per-vertex
+    colors of g or None."""
+    adj, mates = core.adjacency, core.mates
+    m = len(adj)
     full = (1 << (k + 1)) - 2  # colors 1..k
     # nbr[p][v] holds the colors of parity p on v's colored neighbors, color
     # c as bit c >> 1.  Only colors of c's parity have an integer midpoint
@@ -257,12 +329,7 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
     # live branch, so toggling bit c >> 1 sets and clears c exactly.
     # propagate toggles x's color in after its last prune, and _search
     # toggles it out as its undo hook.
-    nbr = [0] * g.n, [0] * g.n
-    # mates[v] is None, or v's earlier and later class-mates (see "Twins")
-    mates: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * g.n
-    for cls in _twin_classes(g):
-        for i, v in enumerate(cls):
-            mates[v] = cls[:i], cls[i + 1:]
+    nbr = [0] * m, [0] * m
 
     def toggle(x, c):
         same, own = nbr[c & 1], 1 << (c >> 1)
@@ -310,10 +377,26 @@ def _decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
         toggle(x, c)
         return nd, full
 
-    # the degree-reach cut: at a vertex of degree d, colors 1..k-d and d+1..k
-    start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in map(len, adj)]
+    # the degree-reach cut: at a vertex of degree d in g, colors 1..k-d and d+1..k
+    start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in core.degree]
     half = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    return _search(g, k, half, start, propagate, meter, toggle)
+    found = _search(core.order, k, half, start, propagate, meter, toggle)
+    if found is None:
+        return None
+    colors = [0] * core.n
+    for v, c in zip(core.kept, found):
+        colors[v] = c
+    for p, leaves in core.leaves:  # each leaf the least color free at p
+        c = found[p]
+        used = {0, *(abs(c - found[u]) for u in adj[p])}
+        y = 0
+        for v in leaves:
+            y += 1
+            while abs(y - c) in used:
+                y += 1
+            used.add(abs(y - c))
+            colors[v] = y
+    return tuple(colors)
 
 
 def solve_graceful_decision(g: Graph, k: int,
@@ -328,7 +411,7 @@ def solve_graceful_decision(g: Graph, k: int,
     _require_connected(g)
     meter = BudgetMeter(budget)
     try:
-        witness = _decide(g, k, meter)
+        witness = _decide(_core(g), k, meter)
     except BudgetExhausted:
         return SolveReport(EXHAUSTED, None, None, meter.nodes)
     if witness is None:
@@ -344,7 +427,8 @@ def _chi_g(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
     if g.n < 2:
         raise ValueError("graph needs at least two vertices")
     k = graceful_lower_bound(g)  # raises unless g is connected; >= 2, as g has an edge
-    while (witness := _decide(g, k, meter)) is None:
+    core = _core(g)
+    while (witness := _decide(core, k, meter)) is None:
         k += 1
     return k, witness
 
@@ -368,8 +452,24 @@ def chi_g(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
 # -- plain chromatic number ---------------------------------------------------
 
 
-def _greedy_clique(g: Graph) -> list[int]:
-    order = _search_order(g)
+def _two_coloring(g: Graph, first: int) -> tuple[int, ...] | None:
+    """The proper 2-coloring of connected g that gives first color 1, or
+    None when a breadth-first pass from first meets an odd cycle."""
+    colors = [0] * g.n
+    colors[first] = 1
+    queue = [first]
+    for v in queue:  # the loop reaches what it appends
+        other = 3 - colors[v]
+        for u in g.adjacency[v]:
+            if not colors[u]:
+                colors[u] = other
+                queue.append(u)
+            elif colors[u] != other:
+                return None
+    return tuple(colors)
+
+
+def _greedy_clique(g: Graph, order: list[int]) -> list[int]:
     clique: list[int] = []
     for v in order:
         if all(u in g.adjacency[v] for u in clique):
@@ -377,9 +477,9 @@ def _greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
-def _greedy_coloring(g: Graph) -> tuple[int, ...]:
+def _greedy_coloring(g: Graph, order: list[int]) -> tuple[int, ...]:
     colors = [0] * g.n
-    for v in _search_order(g):
+    for v in order:
         taken = {colors[u] for u in g.adjacency[v] if colors[u]}
         c = 1
         while c in taken:
@@ -388,7 +488,8 @@ def _greedy_coloring(g: Graph) -> tuple[int, ...]:
     return tuple(colors)
 
 
-def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
+def _chi_decide(g: Graph, order: list[int], k: int,
+                meter: BudgetMeter) -> tuple[int, ...] | None:
     """Proper k-coloring, or None; new colors enter in canonical order."""
     adj = g.adjacency
     full = (1 << (k + 1)) - 2  # colors 1..k
@@ -404,27 +505,32 @@ def _chi_decide(g: Graph, k: int, meter: BudgetMeter) -> tuple[int, ...] | None:
                 nd[v] = mask
         return nd, (allowed | 2 << c) & full
 
-    return _search(g, k, 0b10, [full] * g.n, propagate, meter)  # color 1 first
+    return _search(order, k, 0b10, [full] * g.n, propagate, meter)  # color 1 first
 
 
 def _chromatic(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
     """Chromatic number and a coloring attaining it; raises BudgetExhausted
     when the meter runs out first."""
     _require_connected(g)
-    lower = len(_greedy_clique(g))
-    greedy = _greedy_coloring(g)
+    order = _search_order([len(a) for a in g.adjacency])
+    two = _two_coloring(g, order[0])
+    if two is not None:
+        return max(two), two
+    lower = max(3, len(_greedy_clique(g, order)))  # an odd cycle needs 3 colors
+    greedy = _greedy_coloring(g, order)
     upper = max(greedy)
     for k in range(lower, upper):
-        found = _chi_decide(g, k, meter)
+        found = _chi_decide(g, order, k, meter)
         if found is not None:
             return k, found
     return upper, greedy
 
 
 def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> SolveReport:
-    """Exact chromatic number: greedy clique lower bound, greedy coloring
-    upper bound, backtracking decisions in between, all on one meter made
-    for this call."""
+    """Exact chromatic number: a 2-coloring pass when g is bipartite;
+    otherwise the greedy clique lower bound (at least 3), the greedy
+    coloring upper bound and backtracking decisions in between, all on one
+    meter made for this call."""
     meter = BudgetMeter(budget)
     try:
         value, witness = _chromatic(g, meter)

@@ -60,6 +60,26 @@ def clone_vertex(g: Graph, v: int) -> Graph:
     return Graph.from_edges(g.n + 1, [*g.edges, *((u, g.n) for u in g.adjacency[v])])
 
 
+def with_leaves(g: Graph, rng: random.Random, count: int) -> Graph:
+    """g plus count new vertices g.n, g.n + 1, ..., each joined to one
+    vertex drawn from those before it, which may be an earlier new one."""
+    edges = [*g.edges, *((rng.randrange(v), v) for v in range(g.n, g.n + count))]
+    return Graph.from_edges(g.n + count, edges)
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    return Graph.from_edges(10, outer + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def groetzsch() -> Graph:
+    """The Mycielskian of C5: triangle-free, with chromatic number 4."""
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    return Graph.from_edges(11, rim + shadows + [(5 + i, 10) for i in range(5)])
+
+
 def grid(rows: int, cols: int) -> Graph:
     def vid(r, c):
         return r * cols + c
@@ -124,8 +144,8 @@ def _graceful_on(edges, colors) -> bool:
     return True
 
 
-def reference_graceful_search(g: Graph, k: int,
-                              twins: bool = True) -> tuple[tuple[int, ...] | None, int]:
+def reference_graceful_search(g: Graph, k: int, twins: bool = True,
+                              leaves: bool = True) -> tuple[tuple[int, ...] | None, int]:
     """The graceful decision search with every domain recomputed from the
     definition at every node: y is open at an uncolored v iff the colored
     vertices plus v = y are gracefully colored on the edges among them, and
@@ -133,17 +153,23 @@ def reference_graceful_search(g: Graph, k: int,
     edges, which must all get distinct colors.  With twins, the colors of
     every set of vertices with one neighbour set also ascend with the index:
     y is closed at v when a colored w < v of v's class has a color >= y, or
-    a colored w > v has a color <= y.  Same order as the solver:
+    a colored w > v has a color <= y.  With leaves, every vertex of degree 1
+    whose neighbour has degree 2 or more is left out of the search; after a
+    success each of them, in index order, takes the least color that keeps
+    the coloring graceful on the colored edges.  Same order as the solver:
     the next vertex has the fewest open colors, ties to the higher degree
     and then the lower index; the first one tries its open colors up to
     ceil(k/2); colors ascend; a node is one color tried at one vertex.  A
     vertex with no open color before the first node gives (None, 0).
     Returns (colors or None, nodes)."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    neighbours = [{w for e in g.edges if v in e for w in e if w != v} for v in range(g.n)]
+    left_out = [v for v in range(g.n) if leaves and len(neighbours[v]) == 1
+                and len(neighbours[next(iter(neighbours[v]))]) > 1]
+    order = sorted((v for v in range(g.n) if v not in left_out),
+                   key=lambda v: (-len(g.adjacency[v]), v))
     rank = {v: i for i, v in enumerate(order)}
     colors = [0] * g.n
     nodes = 0
-    neighbours = [{w for e in g.edges if v in e for w in e if w != v} for v in range(g.n)]
     mates = [[w for w in range(g.n) if twins and w != v and neighbours[w] == neighbours[v]]
              for v in range(g.n)]
 
@@ -154,22 +180,22 @@ def reference_graceful_search(g: Graph, k: int,
         return all(not colors[w] or (colors[w] < y if w < v else colors[w] > y)
                    for w in mates[v])
 
-    def open_colors(v):
-        found = []
-        for y in range(1, k + 1):
-            colors[v] = y
-            if reaches(v, y) and ordered(v, y) and _graceful_on(
-                    [e for e in g.edges if colors[e[0]] and colors[e[1]]], colors):
-                found.append(y)
+    def graceful_with(v, y):
+        colors[v] = y
+        found = _graceful_on([e for e in g.edges if colors[e[0]] and colors[e[1]]], colors)
         colors[v] = 0
         return found
+
+    def open_colors(v):
+        return [y for y in range(1, k + 1)
+                if reaches(v, y) and ordered(v, y) and graceful_with(v, y)]
 
     def extend(x, choices) -> bool:
         nonlocal nodes
         for y in choices:
             nodes += 1
             colors[x] = y
-            domains = {v: open_colors(v) for v in range(g.n) if not colors[v]}
+            domains = {v: open_colors(v) for v in order if not colors[v]}
             if not domains:
                 return True
             if all(domains.values()):
@@ -179,11 +205,14 @@ def reference_graceful_search(g: Graph, k: int,
         colors[x] = 0
         return False
 
-    start = {v: open_colors(v) for v in range(g.n)}
+    start = {v: open_colors(v) for v in order}
     if not all(start.values()):
         return None, 0
-    found = extend(order[0], [y for y in start[order[0]] if y <= (k + 1) // 2])
-    return (tuple(colors) if found else None), nodes
+    if not extend(order[0], [y for y in start[order[0]] if y <= (k + 1) // 2]):
+        return None, nodes
+    for v in left_out:
+        colors[v] = next(y for y in range(1, k + 1) if graceful_with(v, y))
+    return tuple(colors), nodes
 
 
 def cnf_graceful_coloring(g: Graph, k: int) -> tuple[int, ...] | None:

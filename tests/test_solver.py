@@ -12,6 +12,7 @@ from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
 from gracecolor.checking import verify_graceful
 from gracecolor.graphs import (
     Graph,
+    caterpillar,
     complete,
     complete_bipartite,
     cycle,
@@ -44,9 +45,12 @@ from support import (
     diameter,
     graceful_valid_oracle,
     grid,
+    groetzsch,
     hypercube,
+    petersen,
     random_connected_graph,
     reference_graceful_search,
+    with_leaves,
 )
 
 
@@ -144,9 +148,11 @@ def test_decision_refutes_exactly_below_chi_g():
 def test_decision_matches_reference_search():
     """The propagation rule leaves open exactly the colors the definition
     allows: status, witness and node count equal those of a search that
-    recomputes every domain from scratch at every node.  The draws include
-    graphs with twins, and every status also equals that of the reference
-    search without the twin order, so the order loses no palette."""
+    recomputes every domain from scratch at every node and colors the same
+    leaves after it.  The draws include graphs with twins and graphs with
+    pendant vertices, and every status also equals that of the reference
+    search with neither the twin order nor the leaves left out, so neither
+    loses a palette."""
     rng = random.Random(8808)
     graphs = []
     for _ in range(36):
@@ -158,6 +164,12 @@ def test_decision_matches_reference_search():
                                               for _ in range(rng.randint(2, 3)))))
         g = random_connected_graph(rng, rng.randint(5, 7), density=rng.choice((0.2, 0.5)))
         graphs.append(clone_vertex(g, rng.randrange(g.n)))
+    graphs += [complete(2), path(3), star(4), star(6)]
+    graphs += [caterpillar(3, (2, 0, 1)), caterpillar(4, (1, 2, 0, 3)), caterpillar(2, (3, 3))]
+    for _ in range(8):
+        n = rng.randint(4, 7)
+        g = random_connected_graph(rng, n, density=rng.choice((0.2, 0.5)))
+        graphs.append(with_leaves(g, rng, rng.randint(1, 3)))
     for g in graphs:
         for k in range(max(2, graceful_lower_bound(g)), chi_g(g).value + 1):
             report = solve_graceful_decision(g, k)
@@ -165,7 +177,7 @@ def test_decision_matches_reference_search():
             assert report.status == (SOLVED if colors else INFEASIBLE), (g.edges, k)
             witness = report.witness.colors if report.witness else None
             assert (witness, report.nodes) == (colors, nodes), (g.edges, k)
-            unordered, _ = reference_graceful_search(g, k, twins=False)
+            unordered, _ = reference_graceful_search(g, k, twins=False, leaves=False)
             assert (colors is None) == (unordered is None), (g.edges, k)
 
 
@@ -224,10 +236,11 @@ def test_degree_reach_cut_keeps_sparse_graphs_within_node_cap(name, build, value
 
 def test_chromatic_tree_solved_within_node_cap():
     # a search that colors vertices in a fixed degree order spends this whole
-    # cap looking for the 2-coloring; the fail-first one needs 200 nodes
+    # cap looking for the 2-coloring; a tree is bipartite, so one 2-coloring
+    # pass finds it with no node
     tree = random_tree(200, 1)
     report = chromatic_number(tree, SolveBudget(max_nodes=10_000))
-    assert (report.status, report.value) == (SOLVED, 2)
+    assert (report.status, report.value, report.nodes) == (SOLVED, 2, 0)
     result = characterize(tree, SolveBudget(max_nodes=10_000))
     assert (result.chi, result.chi_g) == (2, 7)
 
@@ -242,8 +255,9 @@ def test_chromatic_tree_solved_within_node_cap():
     pytest.param(lambda: wheel(8), 8, 8, id="W8"),
     pytest.param(lambda: cycle(7), 4, 7, id="C7"),
     pytest.param(lambda: complete(6), 11, 4020, id="K6"),
-    pytest.param(lambda: random_tree(39, 39), 6, 41, id="tree39s39"),
-    pytest.param(lambda: random_tree(40, 2), 5, 41, id="tree40s2"),
+    pytest.param(lambda: random_tree(39, 39), 6, 25, id="tree39s39"),
+    pytest.param(lambda: random_tree(40, 2), 5, 26, id="tree40s2"),
+    pytest.param(lambda: random_tree(2000, 1), 7, 1313, id="tree2000s1"),
     pytest.param(lambda: complete(7), 13, 30529, id="K7"),
     pytest.param(lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805,
                  id="gnp10p6s5"),
@@ -274,13 +288,14 @@ def test_chi_g_of_complete_multipartite_graphs(parts, value):
 
 
 def test_ordering_a_pair_that_is_not_twins_changes_chi_g(monkeypatch):
-    # vertices 0 and 2 of the path 0-2-1 are not twins.  At k = 3 the
-    # center, the first vertex, tries colors 1 and 2: 2 gives both edges
-    # color 1, and ordering the pair leaves vertex 0 no color below 1
-    g = Graph.from_edges(3, [(0, 2), (1, 2)])
-    assert brute_force_chi_g(g) == chi_g(g).value == 3
-    monkeypatch.setattr(solver, "_twin_classes", lambda _: [(0, 2)])
-    assert chi_g(g).value == 4
+    # vertices 1 and 2 of K4 minus the edge 23 are adjacent, so not twins.
+    # At k = 4 the cut leaves the degree-3 vertices 0 and 1 only colors 1
+    # and 4, and 0, the first vertex, tries only 1, so 1 takes 4, and
+    # ordering the pair leaves vertex 2 no color above 4
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert brute_force_chi_g(g) == chi_g(g).value == 4
+    monkeypatch.setattr(solver, "_twin_classes", lambda _: [(1, 2)])
+    assert chi_g(g).value == 5
 
 
 @pytest.mark.parametrize("compute,checks", [(chi_g, 1), (characterize, 2)],
@@ -474,11 +489,57 @@ def test_chromatic_matches_exhaustive_small():
         if key not in oracle:
             oracle[key] = brute_chi(g)
         check(g, oracle[key])
-    # the greedy coloring of these trees uses 3 colors, so the decision
-    # search itself has to find the 2-coloring
-    for n, seed in ((7, 7), (8, 3), (9, 2), (10, 2)):
+    # the greedy coloring of these trees uses 3 colors; the 2-coloring pass
+    # finds, with no node, the coloring the k = 2 search found
+    for n, seed, witness in ((7, 7, (1, 2, 1, 1, 2, 2, 2)), (8, 3, (1, 2, 2, 1, 2, 1, 1, 2)),
+                             (9, 2, (2, 1, 1, 1, 2, 2, 2, 1, 1)),
+                             (10, 2, (2, 1, 1, 1, 2, 2, 2, 1, 2, 1))):
         tree = random_tree(n, seed)
-        assert check(tree, brute_chi(tree)).nodes > 0, (n, seed)
+        report = check(tree, brute_chi(tree))
+        assert (report.nodes, report.witness) == (0, witness), (n, seed)
+
+
+@pytest.mark.parametrize("build,value,palettes,nodes", [
+    pytest.param(lambda: cycle(5), 3, [], 0, id="C5"),
+    pytest.param(petersen, 3, [], 0, id="petersen"),
+    pytest.param(groetzsch, 4, [3], 26, id="groetzsch"),
+])
+def test_chromatic_search_of_an_odd_cycle_starts_at_3(monkeypatch, build, value, palettes,
+                                                     nodes):
+    # these graphs have no triangle, so the clique bound is 2; the 2-coloring
+    # pass meets an odd cycle, and no palette below 3 is searched
+    searched = []
+    decide = solver._chi_decide
+    monkeypatch.setattr(solver, "_chi_decide",
+                        lambda g, order, k, meter: searched.append(k) or decide(g, order, k, meter))
+    report = chromatic_number(build())
+    assert (report.value, searched, report.nodes) == (value, palettes, nodes)
+
+
+def test_chromatic_number_of_a_large_tree_takes_no_node():
+    report = chromatic_number(random_tree(5000, 1))
+    assert (report.status, report.value, report.nodes) == (SOLVED, 2, 0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_star_colors_its_leaves_after_a_one_node_search(n):
+    # the search keeps only the center, whose reach comes from its n - 1
+    # edges in the star: at k = n - 1 its domain is empty, at k = n it is
+    # {1, n}, and the first vertex tries only 1
+    g = star(n)
+    assert solve_graceful_decision(g, n - 1) == SolveReport(INFEASIBLE, None, None, 0)
+    report = chi_g(g)
+    assert (report.status, report.value, report.nodes) == (SOLVED, n, 1)
+    assert report.witness.colors == tuple(range(1, n + 1))
+    assert verify_graceful(g, report.witness).valid
+
+
+def test_single_edge_keeps_both_endpoints():
+    # each end of K2 has degree 1, but so has its neighbour: neither is a
+    # leaf the search leaves out, so both are searched and colored
+    report = chi_g(complete(2))
+    assert (report.status, report.value, report.nodes) == (SOLVED, 2, 2)
+    assert report.witness.colors == (1, 2)
 
 
 def test_characterize_examples():
