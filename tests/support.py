@@ -144,8 +144,8 @@ def _graceful_on(edges, colors) -> bool:
     return True
 
 
-def reference_graceful_search(g: Graph, k: int, twins: bool = True,
-                              leaves: bool = True) -> tuple[tuple[int, ...] | None, int]:
+def reference_graceful_search(g: Graph, k: int, twins: bool = True, leaves: bool = True,
+                              ends: bool = False) -> tuple[tuple[int, ...] | None, int]:
     """The graceful decision search with every domain recomputed from the
     definition at every node: y is open at an uncolored v iff the colored
     vertices plus v = y are gracefully colored on the edges among them, and
@@ -156,7 +156,13 @@ def reference_graceful_search(g: Graph, k: int, twins: bool = True,
     a colored w > v has a color <= y.  With leaves, every vertex of degree 1
     whose neighbour has degree 2 or more is left out of the search; after a
     success each of them, in index order, takes the least color that keeps
-    the coloring graceful on the colored edges.  Same order as the solver:
+    the coloring graceful on the colored edges.  With ends, a node is also
+    pruned when color 1 or color k is held by no colored vertex and open at
+    no uncolored one: when g has no graceful (k-1)-coloring, every graceful
+    k-coloring uses k, or it would be a (k-1)-coloring, and uses 1, or
+    shifting every color down by one would give a (k-1)-coloring.  A vertex
+    left out with the leaves may hold an end, so ends fits only a search
+    that keeps every vertex.  Same order as the solver:
     the next vertex has the fewest open colors, ties to the higher degree
     and then the lower index; the first one tries its open colors up to
     ceil(k/2); colors ascend; a node is one color tried at one vertex.  A
@@ -196,6 +202,8 @@ def reference_graceful_search(g: Graph, k: int, twins: bool = True,
             nodes += 1
             colors[x] = y
             domains = {v: open_colors(v) for v in order if not colors[v]}
+            if ends and not {1, k} <= {*colors, *(z for zs in domains.values() for z in zs)}:
+                continue
             if not domains:
                 return True
             if all(domains.values()):

@@ -1,7 +1,6 @@
 """Exact solver: bounds, decisions, iterative deepening, characterization."""
 
 import dataclasses
-import os
 import random
 
 import pytest
@@ -145,14 +144,9 @@ def test_decision_refutes_exactly_below_chi_g():
             assert solve_graceful_decision(g, k).status == expected, (g.edges, k)
 
 
-def test_decision_matches_reference_search():
-    """The propagation rule leaves open exactly the colors the definition
-    allows: status, witness and node count equal those of a search that
-    recomputes every domain from scratch at every node and colors the same
-    leaves after it.  The draws include graphs with twins and graphs with
-    pendant vertices, and every status also equals that of the reference
-    search with neither the twin order nor the leaves left out, so neither
-    loses a palette."""
+def _seeded_draw() -> list[Graph]:
+    """Graphs with twins, graphs with pendant vertices and complete
+    multipartite graphs, the last of diameter 2."""
     rng = random.Random(8808)
     graphs = []
     for _ in range(36):
@@ -170,7 +164,18 @@ def test_decision_matches_reference_search():
         n = rng.randint(4, 7)
         g = random_connected_graph(rng, n, density=rng.choice((0.2, 0.5)))
         graphs.append(with_leaves(g, rng, rng.randint(1, 3)))
-    for g in graphs:
+    return graphs
+
+
+def test_decision_matches_reference_search():
+    """The propagation rule leaves open exactly the colors the definition
+    allows: status, witness and node count equal those of a search that
+    recomputes every domain from scratch at every node and colors the same
+    leaves after it.  The draws include graphs with twins and graphs with
+    pendant vertices, and every status also equals that of the reference
+    search with neither the twin order nor the leaves left out, so neither
+    loses a palette."""
+    for g in _seeded_draw():
         for k in range(max(2, graceful_lower_bound(g)), chi_g(g).value + 1):
             report = solve_graceful_decision(g, k)
             colors, nodes = reference_graceful_search(g, k)
@@ -179,6 +184,28 @@ def test_decision_matches_reference_search():
             assert (witness, report.nodes) == (colors, nodes), (g.edges, k)
             unordered, _ = reference_graceful_search(g, k, twins=False, leaves=False)
             assert (colors is None) == (unordered is None), (g.edges, k)
+
+
+def test_chi_g_matches_reference_deepening():
+    """chi_g spends exactly the reference search's nodes summed over every
+    palette from the lower bound up, and returns its witness, with the
+    palette ends on exactly where the kernel turns them on: on graphs of
+    diameter at most 2 without a leaf.  Its node cap is that sum, so a
+    kernel that needs more runs out of budget instead of deepening without
+    end."""
+    for g in _seeded_draw():
+        leaf = any(len(a) == 1 and len(g.adjacency[a[0]]) > 1 for a in g.adjacency)
+        ends = diameter(g) <= 2 and not leaf
+        k, total = max(2, graceful_lower_bound(g)), 0
+        while True:
+            colors, nodes = reference_graceful_search(g, k, ends=ends)
+            total += nodes
+            if colors:
+                break
+            k += 1
+        report = chi_g(g, SolveBudget(max_nodes=total))
+        assert (report.status, report.value, report.nodes) == (SOLVED, k, total), g.edges
+        assert report.witness.colors == colors, g.edges
 
 
 @pytest.mark.parametrize("name,build,value", [
@@ -250,15 +277,17 @@ def test_chromatic_tree_solved_within_node_cap():
     pytest.param(lambda: complete_bipartite(4, 4), 8, 8, id="K4,4"),
     pytest.param(lambda: complete_bipartite(4, 5), 9, 9, id="K4,5"),
     pytest.param(lambda: complete_bipartite(7, 7), 14, 14, id="K7,7"),
-    pytest.param(lambda: complete_multipartite(3, 3, 3), 12, 4769, id="K3,3,3"),
-    pytest.param(lambda: complete_multipartite(4, 4, 4), 15, 24955, id="K4,4,4"),
+    pytest.param(lambda: complete_multipartite(3, 3, 3), 12, 4053, id="K3,3,3"),
+    pytest.param(lambda: complete_multipartite(4, 4, 4), 15, 19978, id="K4,4,4"),
     pytest.param(lambda: wheel(8), 8, 8, id="W8"),
     pytest.param(lambda: cycle(7), 4, 7, id="C7"),
-    pytest.param(lambda: complete(6), 11, 4020, id="K6"),
+    pytest.param(lambda: complete(6), 11, 3122, id="K6"),
     pytest.param(lambda: random_tree(39, 39), 6, 25, id="tree39s39"),
     pytest.param(lambda: random_tree(40, 2), 5, 26, id="tree40s2"),
     pytest.param(lambda: random_tree(2000, 1), 7, 1313, id="tree2000s1"),
-    pytest.param(lambda: complete(7), 13, 30529, id="K7"),
+    pytest.param(lambda: complete(7), 13, 19885, id="K7"),
+    pytest.param(lambda: complete(8), 14, 57822, id="K8"),
+    pytest.param(lambda: complete_multipartite(2, 2, 2, 2, 2), 16, 134239, id="K2,2,2,2,2"),
     pytest.param(lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805,
                  id="gnp10p6s5"),
 ])
@@ -275,9 +304,7 @@ def test_chi_g_nodes_are_pinned(build, value, nodes):
     ((2, 2, 2, 2), 10),
     ((3, 3, 3), 12),
     ((4, 4, 4), 15),
-    pytest.param((2, 2, 2, 2, 2), 16, marks=pytest.mark.skipif(
-        not os.environ.get("GRACECOLOR_EXTENDED"),
-        reason="optional tier: set GRACECOLOR_EXTENDED=1 (about 2 seconds)")),
+    ((2, 2, 2, 2, 2), 16),
 ], ids=lambda p: "K" + ",".join(map(str, p)) if isinstance(p, tuple) else None)
 def test_chi_g_of_complete_multipartite_graphs(parts, value):
     # the values that a set-theoretic search over the parts' colors must match
