@@ -57,17 +57,21 @@ A level that comes from outside the ladder, from a caller of
 Ap3Engine.seed or from a cache file, is not proven here, so it must pass
 the one level rule, check_level: its witness fits, it steps by 0 or 1 from
 the level below, and it agrees with the reference table of published
-graceful chromatic numbers of complete graphs, which fixes L(1..122).  The
-table's witnesses are embedded verbatim as fixture data so that
-transcription slips are caught by the internal-consistency test instead of
-being trusted silently.
+graceful chromatic numbers of complete graphs, which fixes L(1..122).  It
+is checked once: seed checks every entry handed to it, and a cache file's
+levels are checked as tables.load_cache reads them, after which
+ValueCache.seed_engine adopts those still untouched into a fresh engine
+without a second check.  The table's witnesses are embedded verbatim as
+fixture data so that transcription slips are caught by the
+internal-consistency test instead of being trusted silently.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import lt
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 
@@ -136,36 +140,36 @@ _MASK_SPAN_PER_ELEMENT = 1024
 def is_ap3_free(elements: Sequence[int]) -> bool:
     """True iff no three members a < b < c satisfy a + c = 2b.
 
-    Input must be strictly increasing; zero and negative members are allowed.
-    With offsets p = x - min and s the largest offset, the forward mask has
-    bit p for each member and the mirror mask bit s - p.  For a middle member
-    at offset q, forward >> (q + 1) has bit i for the member at q + 1 + i, and
-    mirror >> (s + 1 - q) bit i for the member at q - 1 - i, so the two meet
-    exactly when q is the midpoint of two members: O(n) big-int steps in all.
-    A set sparser than _MASK_SPAN_PER_ELEMENT per member has its pairs tested
-    instead, in O(n^2) steps.
+    Input must be strictly increasing, which is tested first, so an input
+    that is not raises ValueError even where it holds a progression; zero
+    and negative members are allowed.  One pass takes the members in order,
+    at offsets p = x - min, and keeps two masks of the members before x:
+    seen, with bit q for each member at offset q, and twice, with bit 2q.
+    x closes a progression a < b < x exactly when 2b - a = p for members
+    a and b before it, that is when twice >> p & seen is not zero: O(n)
+    big-int steps in all.  A set sparser than _MASK_SPAN_PER_ELEMENT per
+    member has its pairs tested instead, in O(n^2) steps.
     """
-    xs = list(elements)
-    for prev, cur in zip(xs, xs[1:]):
-        if prev >= cur:
-            raise ValueError("input must be strictly increasing without duplicates")
+    xs = tuple(elements)
+    if not all(map(lt, xs, xs[1:])):
+        raise ValueError("input must be strictly increasing without duplicates")
     if len(xs) < 3:
         return True
-    low, high = xs[0], xs[-1]
-    if high - low > _MASK_SPAN_PER_ELEMENT * len(xs):
+    low = xs[0]
+    if xs[-1] - low > _MASK_SPAN_PER_ELEMENT * len(xs):
         members = set(xs)
         for i, a in enumerate(xs):
             for c in xs[i + 1:]:
                 if (a + c) % 2 == 0 and (a + c) // 2 in members:
                     return False
         return True
-    forward = mirror = 0
+    seen = twice = 0
     for x in xs:
-        forward |= 1 << (x - low)
-        mirror |= 1 << (high - x)
-    for x in xs[1:-1]:
-        if mirror >> (high + 1 - x) & forward >> (x - low + 1):
+        p = x - low
+        if twice >> p & seen:
             return False
+        seen |= 1 << p
+        twice |= 1 << p + p
     return True
 
 
@@ -282,6 +286,15 @@ class Ap3Engine:
             applied += 1
             m += 1
         return applied
+
+    def _adopt(self, levels: Iterable[tuple[int, tuple[int, ...]]]) -> None:
+        """Append (L, witness) levels from frontier + 1 on as they are.  Only
+        for levels that have already passed check_level, each against the
+        level below it here: ValueCache.seed_engine adopts the levels that
+        load_cache checked, into an engine with frontier 0."""
+        for value, witness in levels:
+            self._lengths.append(value)
+            self._witnesses.append(witness)
 
     # -- queries ------------------------------------------------------------
 

@@ -55,7 +55,7 @@ def parse_coloring(text: str, palette: int | None = None) -> GracefulColoring:
     return GracefulColoring(colors, size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str
     vertices: tuple[int, ...]
@@ -71,7 +71,7 @@ class Violation:
         return f"color-out-of-range at vertex {v}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     valid: bool
     violation: Violation | None = None

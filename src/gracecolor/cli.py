@@ -186,7 +186,8 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
 def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudget], T]) -> T:
     """Run search(engine, budget) on an engine seeded from --cache, and store
     the engine's proven levels back to --cache when the search returns or
-    runs out of budget.  A rejected argument stores nothing."""
+    runs out of budget.  A rejected argument stores nothing, and so does a
+    search that proves no new level on a file already in the stored form."""
     engine = ap3.Ap3Engine()
     cache = None
     if args.cache:
@@ -202,7 +203,8 @@ def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudg
         outcome = exc
     if cache is not None:
         cache.absorb_engine(engine)
-        tables.store_cache(cache, args.cache)
+        if not cache.is_stored():
+            tables.store_cache(cache, args.cache)
     if isinstance(outcome, BudgetExhausted):
         raise outcome
     return outcome

@@ -27,10 +27,12 @@ class FormatError(ValueError):
 
 
 def read_text(path: str) -> str:
-    """The UTF-8 text of a file.  Bytes that do not decode raise FormatError
-    naming the file, which the decoder's own message does not."""
+    """The UTF-8 text of a file, its line ends as the file has them, since
+    document_lines splits at each of LF, CRLF and CR.  Bytes that do not
+    decode raise FormatError naming the file, which the decoder's own
+    message does not."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None

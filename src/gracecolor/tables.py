@@ -19,6 +19,13 @@ loader reads lines as graphs.document_lines does: CRLF and CR end a line
 too, and blank and '#' lines are skipped.  It reads integers as
 graphs.read_ints does: ASCII digits after an optional '-'.  Only proven
 values are ever written, and a record of any other kind is an error.
+
+A ladder call reads its file once and checks each level once: load_cache
+holds every record to ap3.check_level, whose progression test,
+ap3.is_ap3_free, is one pass over the witness, and seed_engine adopts the
+levels it checked, from 1 up and untouched, into a fresh engine; seed
+checks any other level.  The call renders and writes the cache only when
+it proved a new level or the file is not already in the stored form.
 """
 
 from __future__ import annotations
@@ -39,14 +46,33 @@ class ValueCache:
     to disk."""
 
     levels: dict[int, tuple[int, tuple[int, ...]]] = field(default_factory=dict)
+    # Set by load_cache, and neither compared nor shown: the entries it
+    # checked, m -> (L(m), witness), and whether its file held them in the
+    # stored form.
+    _checked: dict[int, tuple[int, tuple[int, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _file_in_stored_form: bool = field(default=False, init=False, repr=False,
+                                       compare=False)
 
     def seed_engine(self, engine: Ap3Engine) -> int:
         """Feed contiguous proven levels into an engine; returns levels applied.
 
-        A level that fails ap3.check_level, such as a step other than 0 or 1,
-        raises FormatError."""
+        Into an engine with frontier 0, the leading run of levels 1, 2, ...
+        that are still the entries load_cache checked is adopted as it is:
+        each passed ap3.check_level against the one below it, which is the
+        engine's level below it too.  Ap3Engine.seed checks every other
+        level, and one that fails, such as a step other than 0 or 1, raises
+        FormatError."""
+        checked, levels = self._checked, self.levels
+        adopted = []
+        if engine.frontier == 0:
+            m = 1
+            while (entry := levels.get(m)) is not None and entry is checked.get(m):
+                adopted.append(entry)
+                m += 1
+            engine._adopt(adopted)
         try:
-            return engine.seed(self.levels)
+            return len(adopted) + engine.seed(levels)
         except ValueError as exc:
             raise FormatError(f"inconsistent L records: {exc}") from None
 
@@ -56,30 +82,57 @@ class ValueCache:
         self.levels.update((m, (value, witness))
                            for m, value, witness in engine.proven_levels())
 
+    def is_stored(self) -> bool:
+        """True when the file this cache was loaded from already holds what
+        store_cache would write of it: the file was in the stored form, and
+        the levels are the ones it held."""
+        return self._file_in_stored_form and self.levels == self._checked
+
 
 def load_cache(path: str) -> ValueCache:
     """Read a cache file; a malformed or invalid record is rejected with its
     line number.  Each L record must pass ap3.check_level, against the record
-    of m-1 when the file has one."""
+    of m-1 when the file has one.  The file is read once, with its line ends
+    as they are, and the cache notes whether it is in the stored form: LF
+    endings, the final one too, records sorted by m and nothing else, and
+    no leading space, trailing space or leading zero."""
+    text = read_text(path)
     records: dict[int, tuple[int, int, tuple[int, ...]]] = {}  # m -> (line, L, witness)
-    for lineno, line in document_lines(read_text(path)):
+    stored_size = 0  # of the records in the stored form
+    last_field, witness = None, ()
+    for lineno, line in document_lines(text):
         parts = line.split(" ")
         if len(parts) != 4:
             raise FormatError(f"expected 4 fields, got {len(parts)}", lineno)
         kind, m_s, value_s, witness_s = parts
-        m, value, *witness = read_ints([m_s, value_s, *witness_s.split(",")], lineno)
+        if witness_s == last_field:  # a flat level repeats the witness above it
+            m, value = read_ints([m_s, value_s], lineno)
+        else:
+            m, value, *members = read_ints([m_s, value_s, *witness_s.split(",")], lineno)
+            last_field, witness = witness_s, tuple(members)
         if kind != "L":
             raise FormatError(f"unknown kind {kind!r}", lineno)
         if m in records:
             raise FormatError(f"duplicate record L {m}", lineno)
-        records[m] = (lineno, value, tuple(witness))
+        records[m] = (lineno, value, witness)
+        stored_size += len(line) + 1
     for m, (lineno, value, witness) in records.items():
         prev = records[m - 1][1] if m - 1 in records else None
         try:
             check_level(m, value, witness, prev)
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
-    return ValueCache({m: (value, witness) for m, (_, value, witness) in records.items()})
+    cache = ValueCache({m: (value, witness) for m, (_, value, witness) in records.items()})
+    cache._checked = dict(cache.levels)
+    # Every integer passed check_level, so it is positive, and one in the
+    # stored form starts with no 0.  In a text with no CR that ends in LF,
+    # the sizes agree only when every line is a record as document_lines
+    # yields it, with nothing stripped.
+    ms = list(records)
+    cache._file_in_stored_form = (
+        len(text) == stored_size and text.endswith("\n") and "\r" not in text
+        and " 0" not in text and ",0" not in text and ms == sorted(ms))
+    return cache
 
 
 def store_cache(cache: ValueCache, path: str) -> None:
@@ -126,7 +179,7 @@ STATUS_UNPROVEN = "unproven"
 STATUS_COMPUTED = "computed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     n: int
     computed: int | None

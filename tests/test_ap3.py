@@ -32,6 +32,10 @@ def test_is_ap3_free_requires_strictly_increasing():
         is_ap3_free((2, 1))
     with pytest.raises(ValueError):
         is_ap3_free((1, 1, 2))
+    # the order is tested first, so a progression ahead of the fault is not
+    # reported as one
+    with pytest.raises(ValueError, match="increasing"):
+        is_ap3_free((1, 2, 3, 2))
 
 
 def test_is_ap3_free_matches_triple_scan():
@@ -446,6 +450,8 @@ def test_seed_rejects_inconsistent_entries():
     engine2 = Ap3Engine()
     with pytest.raises(ValueError, match="does not fit"):
         engine2.seed({1: (1, (2,))})
+    with pytest.raises(ValueError, match="progression"):
+        Ap3Engine().seed({1: (1, (1,)), 2: (2, (1, 2)), 3: (3, (1, 2, 3))})
 
 
 def test_seed_rejects_levels_contradicting_the_reference():

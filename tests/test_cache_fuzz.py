@@ -1,7 +1,8 @@
 """Arbitrary cache files through the CLI: a cache error, never a traceback or
-an unproven value."""
+an unproven value; and valid ones, in any form, left in the stored form."""
 
 import io
+import os
 
 import pytest
 
@@ -88,3 +89,74 @@ def test_any_cache_file_is_used_or_rejected(cache_path, lines):
         witness = [int(x) for x in witness.removeprefix("witness: ").split(",")]
         assert len(witness) == L12 and not contains_progression(witness)
         assert witness == sorted(set(witness)) and 1 <= witness[0] <= witness[-1] <= 12
+
+
+_UNCACHED: dict[int, tuple[int, str, str]] = {}  # m -> the call without --cache
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    return run(argv, out, err), out.getvalue(), err.getvalue()
+
+
+_FORMS = ("stored", "crlf", "cr", "mixed ends", "no final lf", "unsorted", "spaces",
+          "leading zero", "comment", "blank line")
+
+
+@st.composite
+def _ladder_file(draw):
+    """(text, levels held) for a valid ladder of LEVELS, in the stored form or
+    in one of its departures from it."""
+    if draw(st.booleans()):  # levels 1..k, as a cache is stored
+        held = set(range(1, draw(st.integers(0, len(LEVELS))) + 1))
+    else:
+        held = draw(st.sets(st.integers(1, len(LEVELS))))
+    lines = [" ".join(_level(LEVELS[m - 1])) for m in sorted(held)]
+    ends = ["\n"] * len(lines)
+    form = draw(st.sampled_from(_FORMS))
+    if form in ("comment", "blank line"):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     "# note" if form == "comment" else draw(st.sampled_from(["", "   "])))
+        ends.append("\n")
+    elif lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        if form in ("crlf", "cr"):
+            ends = ["\r\n" if form == "crlf" else "\r"] * len(lines)
+        elif form == "mixed ends":
+            ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        elif form == "no final lf":
+            ends[-1] = ""
+        elif form == "unsorted":
+            lines = draw(st.permutations(lines))
+        elif form == "spaces":
+            lines[i] = draw(st.sampled_from(["", " ", "\t"])) + lines[i] + \
+                draw(st.sampled_from([" ", "  "]))
+        elif form == "leading zero":
+            fields = lines[i].split(" ")
+            j = draw(st.integers(1, 3))
+            tokens = fields[j].split(",")
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = "0" + tokens[k]
+            fields[j] = ",".join(tokens)
+            lines[i] = " ".join(fields)
+    return "".join(map(str.__add__, lines, ends)), held
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(drawn=_ladder_file(), m=st.integers(1, len(LEVELS)))
+def test_a_cached_call_leaves_the_stored_form(cache_path, drawn, m):
+    # the cache ends as the stored form of its levels and those the call
+    # proved, and is replaced exactly when its bytes were not that already
+    text, held = drawn
+    expected = "".join(" ".join(_level(LEVELS[k - 1])) + "\n"
+                       for k in sorted(held | set(range(1, m + 1)))).encode()
+    with open(cache_path, "wb") as handle:
+        handle.write(text.encode())
+    inode = os.stat(cache_path).st_ino
+    argv = ["ap3", "longest", str(m)]
+    if m not in _UNCACHED:
+        _UNCACHED[m] = _invoke(argv)
+    assert _invoke(argv + ["--cache", cache_path]) == _UNCACHED[m]
+    with open(cache_path, "rb") as handle:
+        assert handle.read() == expected
+    assert (os.stat(cache_path).st_ino != inode) == (text.encode() != expected)

@@ -450,14 +450,15 @@ def test_a_span_record_in_the_cache_is_a_cache_error_naming_its_line(tmp_path):
         assert cache.read_text() == text
 
 
-def test_cached_levels_are_checked_once_at_load_and_once_at_seed(tmp_path, monkeypatch):
+def test_cached_levels_are_checked_once(tmp_path, monkeypatch):
+    # load_cache checks each level; seed_engine adopts them unchecked
     cache = tmp_path / "cache.txt"
     assert invoke("ap3", "longest", "40", "--cache", str(cache))[0] == 0
     calls = []
     real = ap3.is_ap3_free
     monkeypatch.setattr(ap3, "is_ap3_free", lambda w: calls.append(w) or real(w))
     assert invoke("ap3", "longest", "30", "--cache", str(cache))[0] == 0
-    assert len(calls) == 2 * 40
+    assert len(calls) == 40
 
 
 def test_ladder_command_writes_the_cache_only_when_its_bytes_change(tmp_path):
@@ -474,6 +475,54 @@ def test_ladder_command_writes_the_cache_only_when_its_bytes_change(tmp_path):
     assert cache.stat().st_ino != inode
     assert cache.read_text().splitlines()[-1].startswith("L 21 ")
     assert os.listdir(tmp_path) == ["cache.txt"]
+
+
+_STORED = "L 1 1 1\nL 2 2 1,2\nL 3 2 1,2\nL 4 3 1,2,4\nL 5 4 1,2,4,5\n"
+
+
+@pytest.mark.parametrize("text", [
+    _STORED.replace("\n", "\r\n"),
+    _STORED.replace("\n", "\r"),
+    "# L(1..5)\n" + _STORED,
+    _STORED.replace("L 3", "\nL 3"),
+    _STORED.replace("L 3 2 1,2", "L 3 2 1,2 ").replace("L 4", "  L 4"),
+    _STORED.replace("L 5 4 1,2,4,5", "L 05 4 1,2,04,5"),
+    "".join(sorted(_STORED.splitlines(keepends=True), reverse=True)),
+    _STORED.removesuffix("\n"),
+], ids=["crlf", "cr", "comment", "blank-line", "spaces", "leading-zero", "unsorted",
+        "no-final-lf"])
+def test_ladder_command_rewrites_a_cache_not_in_the_stored_form(tmp_path, text):
+    # the levels are those that the call proves, so only the form changes
+    cache = tmp_path / "cache.txt"
+    for argv in (("complete", "4"), ("ap3", "minspan", "4"), ("ap3", "longest", "5"),
+                 ("table", "4")):
+        cache.write_bytes(text.encode())
+        inode = cache.stat().st_ino
+        assert invoke(*argv, "--cache", str(cache)) == invoke(*argv), argv
+        assert cache.read_bytes() == _STORED.encode(), argv
+        assert cache.stat().st_ino != inode, argv
+        assert os.listdir(tmp_path) == ["cache.txt"]
+
+
+def test_a_cached_level_replaced_after_loading_is_checked_at_seed(tmp_path, monkeypatch):
+    path = tmp_path / "cache.txt"
+    assert invoke("ap3", "longest", "40", "--cache", str(path))[0] == 0
+    calls = []
+    real = ap3.is_ap3_free
+    monkeypatch.setattr(ap3, "is_ap3_free", lambda w: calls.append(w) or real(w))
+    cache = tables.load_cache(str(path))
+    assert len(calls) == 40
+    # an equal entry that is not the one load_cache checked: levels 1..9
+    # are adopted, and seed checks levels 10..40 again
+    value, witness = cache.levels[10]
+    cache.levels[10] = (value, witness)
+    assert cache.seed_engine(ap3.Ap3Engine()) == 40
+    assert len(calls) == 40 + 31
+    # a bad entry put in after loading is refused at seed
+    assert value == 5
+    cache.levels[10] = (5, (1, 2, 3, 5, 6))
+    with pytest.raises(tables.FormatError, match="^inconsistent L records: .*progression"):
+        cache.seed_engine(ap3.Ap3Engine())
 
 
 def test_cache_env_var_default(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from gracecolor import solver
 from gracecolor.ap3 import Ap3Engine, Ap3Result, SearchStats
 from gracecolor.budget import BudgetExhausted, BudgetMeter, SolveBudget
-from gracecolor.checking import verify_graceful
+from gracecolor.checking import GracefulColoring, verify_graceful
 from gracecolor.graphs import (
     Graph,
     caterpillar,
@@ -33,6 +33,7 @@ from gracecolor.solver import (
     graceful_lower_bound,
     solve_graceful_decision,
 )
+from gracecolor.tables import STATUS_OK, TableRow
 from support import (
     all_connected_graphs,
     all_graphs,
@@ -614,5 +615,7 @@ def test_result_fields():
 
 def test_result_records_are_slotted():
     stats = SearchStats()
-    for record in (stats, Ap3Result(0, (), stats, True), SolveReport(SOLVED, 2, (1,), 1)):
+    report = verify_graceful(path(3), GracefulColoring((2, 2, 3), 3))
+    for record in (stats, Ap3Result(0, (), stats, True), SolveReport(SOLVED, 2, (1,), 1),
+                   report, report.violation, TableRow(2, 2, 2, (1, 2), STATUS_OK)):
         assert not hasattr(record, "__dict__"), type(record).__name__

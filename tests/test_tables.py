@@ -132,6 +132,7 @@ def test_load_rejects_malformed_lines(tmp_path):
     # an integer is ASCII digits after an optional '-'; int() takes more
     for text, token in (("L 1 1 1\nL 2 2 +1,2\n", "+1"), ("L 0_1 1 1\n", "0_1"),
                         ("L 4 3 1,2,4\nL 3 2 1,\u0663\n", "\u0663"),
+                        ("L 2 2 1,2\nL +3 2 1,2\n", "+3"),  # the witness above it
                         ("L 5 4 \uff11,2,4,5\n", "\uff11")):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -261,6 +262,40 @@ def test_seeding_an_inconsistent_level_is_a_format_error():
     with pytest.raises(FormatError) as caught:
         ValueCache({1: (2, (1, 2))}).seed_engine(Ap3Engine())
     assert str(caught.value).startswith("inconsistent L records")
+    # no level of a cache that load_cache did not read is taken on trust
+    with pytest.raises(FormatError, match="^inconsistent L records: .*progression"):
+        ValueCache({1: (1, (1,)), 2: (2, (1, 2)), 3: (3, (1, 2, 3))}).seed_engine(Ap3Engine())
+
+
+@pytest.mark.parametrize("text, stored", [
+    ("L 1 1 1\nL 2 2 1,2\n", True),
+    ("", False),
+    ("L 1 1 1\r\nL 2 2 1,2\r\n", False),
+    ("L 1 1 1\nL 2 2 1,2", False),
+    ("L 1 1 1 \nL 2 2 1,2", False),
+    ("L 1 1 1\rL 2 2 1,2\n", False),
+    ("L 2 2 1,2\nL 1 1 1\n", False),
+    ("L 1 1 1\n\nL 2 2 1,2\n", False),
+    ("L 1 1 1\n# c\nL 2 2 1,2\n", False),
+    ("L 1 1 1\nL 2 2 1,2 \n", False),
+    ("L 1 1 1\nL 2 2 1,02\n", False),
+    ("L 1 1 01\nL 2 2 1,2\n", False),
+], ids=["stored", "empty", "crlf", "no-final-lf", "space-for-final-lf", "cr-then-lf",
+        "unsorted", "blank", "comment", "trailing-space", "leading-zero-witness",
+        "leading-zero-first"])
+def test_a_loaded_cache_knows_whether_its_file_is_in_the_stored_form(tmp_path, text, stored):
+    path = tmp_path / "cache.txt"
+    path.write_bytes(text.encode())
+    cache = load_cache(str(path))
+    assert cache.is_stored() == stored
+    assert not ValueCache(dict(cache.levels)).is_stored()
+    engine = Ap3Engine()
+    cache.seed_engine(engine)
+    cache.absorb_engine(engine)
+    assert cache.is_stored() == stored  # no level proven past those loaded
+    engine.longest(3)
+    cache.absorb_engine(engine)
+    assert not cache.is_stored()
 
 
 def test_seed_engine_round_trip(tmp_path):
