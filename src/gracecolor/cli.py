@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="S", help="wall-clock limit (default %(default)s)")
     ladder = argparse.ArgumentParser(add_help=False, parents=[search])
     ladder.add_argument("--cache", metavar="PATH",
-                        default=os.environ.get(CACHE_ENV_VAR),
                         help=f"proven-value cache file (default ${CACHE_ENV_VAR})")
 
     parser = argparse.ArgumentParser(prog="gracecolor", description=__doc__,
@@ -184,18 +183,20 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
 
 
 def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudget], T]) -> T:
-    """Run search(engine, budget) on an engine seeded from --cache, and store
-    the engine's proven levels back to --cache when the search returns or
-    runs out of budget.  A rejected argument stores nothing, and so does a
-    search that proves no new level on a file already in the stored form."""
+    """Run search(engine, budget) on an engine seeded from the cache file,
+    and store the engine's proven levels back to it when the search returns
+    or runs out of budget.  The file is --cache, or $GRACECOLOR_CACHE, read
+    now, when --cache is absent; an empty path means no cache.  A rejected
+    argument stores nothing, and so does a search that proves no new level
+    on a file already in the stored form."""
+    path = os.environ.get(CACHE_ENV_VAR) if args.cache is None else args.cache
     engine = ap3.Ap3Engine()
     cache = None
-    if args.cache:
+    if path:
         # store_cache would learn this only after the search, from its temp file
-        if not os.path.isdir(os.path.dirname(os.path.abspath(args.cache))):
-            raise OSError(f"{args.cache}: directory does not exist")
-        cache = (tables.load_cache(args.cache) if os.path.exists(args.cache)
-                 else tables.ValueCache())
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OSError(f"{path}: directory does not exist")
+        cache = tables.load_cache(path) if os.path.exists(path) else tables.ValueCache()
         cache.seed_engine(engine)
     try:
         outcome = search(engine, _budget(args))
@@ -204,7 +205,7 @@ def _ladder(args: argparse.Namespace, search: Callable[[ap3.Ap3Engine, SolveBudg
     if cache is not None:
         cache.absorb_engine(engine)
         if not cache.is_stored():
-            tables.store_cache(cache, args.cache)
+            tables.store_cache(cache, path)
     if isinstance(outcome, BudgetExhausted):
         raise outcome
     return outcome

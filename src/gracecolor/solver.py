@@ -43,10 +43,11 @@ prune.
 These are all the ways a graceful coloring can fail around a new vertex:
 its color is proper, the edge colors at a colored neighbor differ, and the
 edge colors at the uncolored vertex differ.
-Every open color is worth trying, except at the first vertex, the
-highest-degree one, which tries only colors up to ceil(k/2): reflecting
+Every open color is worth trying.  The first vertex, the highest-degree
+one, starts with only colors up to ceil(k/2) in its domain: reflecting
 every color x to k+1-x preserves gracefulness, and it maps the colors the
-cut leaves open at v onto themselves, so half the palette suffices there.
+cut leaves open at v onto themselves, so half the palette suffices there,
+and a nonempty cut domain keeps a color in that half.
 The graceful chromatic number is found by iterative deepening, k =
 lower_bound, lower_bound+1, ..., and the first success is exact because
 every smaller k was refuted exhaustively.
@@ -121,8 +122,9 @@ child's domains gives every color held or open.
 
 Chromatic rule.  c is dropped from every uncolored neighbor's domain, and
 the colors worth trying are 1..min(k, u+1), where u is the largest color on
-the branch, so new colors enter in canonical order.  This break stays
-complete under the dynamic vertex order.  Take any proper k-coloring phi and
+the branch, so new colors enter in canonical order; the first vertex's
+start domain is {1}.  This break stays complete under the dynamic vertex
+order.  Take any proper k-coloring phi and
 follow it down the search: when the vertex picked next has a phi color not
 yet met on the branch, label that color u+1; otherwise reuse its label.
 Distinct phi colors get distinct labels, so completing the labelling to a
@@ -236,30 +238,34 @@ _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] |
 _Undo = Callable[[int, int], None]
 
 
-def _search(order: list[int], palette: int, first: int, domains: list[int], propagate: _Rule,
+def _search(order: list[int], domains: list[int], propagate: _Rule,
             meter: BudgetMeter, undo: _Undo | None = None) -> tuple[int, ...] | None:
-    """Color every vertex from 1..palette as propagate allows, or prove it
-    cannot be done.  Returns per-vertex colors or None.
+    """Color every vertex as propagate allows, or prove it cannot be done.
+    Returns per-vertex colors or None.
 
     order holds every vertex, the first one first, and breaks fail-first
-    ties.  domains holds each vertex's start domain, a bitmask of colors in
-    1..palette; if one is empty, the search returns None before its first
-    node.  first is the bitmask of colors worth trying at the first vertex.
-    After colors[x] = c, propagate(x, c, colors, domains, allowed) returns
-    the child domains and the colors worth trying next, or None to prune.
-    When the search comes back up to x, still colored c, from the child it
-    descended to, it calls undo(x, c) if given, so a rule may keep state
-    along the branch.  The frame being searched lives in locals and a tuple is pushed
-    only on descent: reading and writing stack[-1] at every node made the
-    graceful corpus about 10 % slower.
+    ties.  domains holds each vertex's start domain, a bitmask of colors
+    from 1 up; if one is empty, the search returns None before its first
+    node.  The first vertex tries the colors of its start domain, which are
+    also the colors allowed at its node, so a kernel that tries fewer
+    colors there restricts that domain: the graceful kernel to the half
+    palette 1..ceil(k/2), the chromatic kernel to color 1.  The half
+    palette moves no exit: a nonempty degree-reach domain holds k + 1 - c
+    with each c, so it meets 1..ceil(k/2).  After colors[x] = c,
+    propagate(x, c, colors, domains, allowed) returns the child domains and
+    the colors worth trying next, or None to prune.  When the search comes
+    back up to x, still colored c, from the child it descended to, it calls
+    undo(x, c) if given, so a rule may keep state along the branch.  The
+    frame being searched lives in locals and a tuple is pushed only on
+    descent: reading and writing stack[-1] at every node made the graceful
+    corpus about 10 % slower.
     """
     if not all(domains):
         return None
     nodes = stop = 0
     colors = [0] * len(domains)
     x = order[0]
-    allowed = first
-    todo = domains[x] & allowed
+    todo = allowed = domains[x]
     stack: list[tuple[int, int, list[int], int]] = []
     try:
         while True:
@@ -285,7 +291,7 @@ def _search(order: list[int], palette: int, first: int, domains: list[int], prop
             # propagate pruned every empty domain, so one color is the least.
             # No uncolored vertex is left when nxt stays -1.
             nd, next_allowed = child
-            nxt, fewest = -1, palette + 1
+            nxt, fewest = -1, 1 << 30  # more live colors than any domain holds
             for v in order:
                 if not colors[v]:
                     live = nd[v].bit_count()
@@ -416,8 +422,8 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
 
     # the degree-reach cut: at a vertex of degree d in g, colors 1..k-d and d+1..k
     start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in core.degree]
-    half = (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    found = _search(core.order, k, half, start, propagate, meter, toggle)
+    start[core.order[0]] &= (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
+    found = _search(core.order, start, propagate, meter, toggle)
     if found is None:
         return None
     colors = [0] * core.n
@@ -546,7 +552,9 @@ def _chi_decide(g: Graph, order: list[int], k: int,
                 nd[v] = mask
         return nd, (allowed | 2 << c) & full
 
-    return _search(order, k, 0b10, [full] * g.n, propagate, meter)  # color 1 first
+    start = [full] * g.n
+    start[order[0]] = 0b10  # color 1 first
+    return _search(order, start, propagate, meter)
 
 
 def _chromatic(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:

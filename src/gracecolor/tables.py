@@ -24,8 +24,10 @@ A ladder call reads its file once and checks each level once: load_cache
 holds every record to ap3.check_level, whose progression test,
 ap3.is_ap3_free, is one pass over the witness, and seed_engine adopts the
 levels it checked, from 1 up and untouched, into a fresh engine; seed
-checks any other level.  The call renders and writes the cache only when
-it proved a new level or the file is not already in the stored form.
+checks any other level.  The call alone decides whether to write: it
+renders and stores the cache only when it proved a new level or the file
+is not already in the stored form, and store_cache then always replaces
+the file atomically.
 """
 
 from __future__ import annotations
@@ -136,28 +138,19 @@ def load_cache(path: str) -> ValueCache:
 
 
 def store_cache(cache: ValueCache, path: str) -> None:
-    """Write the cache sorted by m; atomic via temp file + rename.  A file
-    that already holds exactly these bytes is left as it is: its inode, mode
-    and mtime do not change.  A replaced file keeps its mode; a new one gets
+    """Write the cache sorted by m, always replacing the file atomically via
+    temp file + rename; whether to write at all is the caller's decision
+    (ValueCache.is_stored).  A replaced file keeps its mode; a new one gets
     the mode that open(path, "w") would give it."""
     data = "".join(f"L {m} {value} {','.join(map(str, witness))}\n"
                    for m, (value, witness) in sorted(cache.levels.items())).encode("utf-8")
     try:
-        st = os.stat(path)
+        mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         # the umask is read by setting it; the strictest value stands in meanwhile
         umask = os.umask(0o077)
         os.umask(umask)
         mode = 0o666 & ~umask
-    else:
-        if st.st_size == len(data):
-            try:
-                with open(path, "rb") as handle:
-                    if handle.read() == data:
-                        return
-            except OSError:  # unreadable: replaced like any other file
-                pass
-        mode = stat.S_IMODE(st.st_mode)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
     try:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gracecolor import ap3, tables
+from gracecolor import ap3, cli, tables
 from gracecolor.cli import run
 from gracecolor.graphs import parse_graph, serialize_graph, wheel
 from gracecolor.tables import CHI_G_COMPLETE_REFERENCE
@@ -530,6 +530,27 @@ def test_cache_env_var_default(tmp_path, monkeypatch):
     monkeypatch.setenv("GRACECOLOR_CACHE", str(cache))
     assert invoke("ap3", "minspan", "4")[0] == 0
     assert "L 5 4" in cache.read_text()
+
+
+def test_the_cache_variable_is_read_when_the_call_runs(tmp_path, monkeypatch):
+    cache = tmp_path / "env-cache.txt"
+    monkeypatch.setenv("GRACECOLOR_CACHE", str(cache))
+    assert cli._build_parser().parse_args(["complete", "5"]).cache is None
+    assert invoke("complete", "6")[0] == 0
+    assert cache.read_text().startswith("L 1 1 1\n")
+    os.utime(cache, ns=(10 ** 18, 10 ** 18))
+    inode = cache.stat().st_ino
+    loaded = []
+    real = tables.load_cache
+    monkeypatch.setattr(tables, "load_cache", lambda path: loaded.append(path) or real(path))
+    assert invoke("complete", "5")[0] == 0
+    assert loaded == [str(cache)]
+    assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == (inode, 10 ** 18)
+    # an empty --cache means no cache, whatever the variable names
+    other = tmp_path / "other.txt"
+    monkeypatch.setenv("GRACECOLOR_CACHE", str(other))
+    assert invoke("complete", "5", "--cache", "")[0] == 0
+    assert loaded == [str(cache)] and not other.exists()
 
 
 @pytest.mark.parametrize("argv", [("complete", "1"), ("table", "1"),

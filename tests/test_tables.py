@@ -205,17 +205,18 @@ def test_store_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode):
     assert path.read_text() == "L 1 1 1\n"
 
 
-def test_store_of_identical_content_leaves_the_file_as_it_is(tmp_path):
+def test_store_replaces_a_file_of_identical_bytes(tmp_path):
+    # whether to write is the ladder call's decision (ValueCache.is_stored);
+    # store_cache always replaces the file, and the new one keeps its mode
     path = tmp_path / "cache.txt"
     cache = ValueCache({1: (1, (1,)), 2: (2, (1, 2))})
     store_cache(cache, str(path))
     path.chmod(0o640)
-    os.utime(path, ns=(10 ** 18, 10 ** 18))
-    before = path.stat()
+    inode = path.stat().st_ino
     store_cache(cache, str(path))
-    after = path.stat()
-    assert (after.st_ino, after.st_mtime_ns, stat.S_IMODE(after.st_mode)) == \
-           (before.st_ino, 10 ** 18, 0o640)
+    assert path.read_bytes() == b"L 1 1 1\nL 2 2 1,2\n"
+    assert path.stat().st_ino != inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert sorted(os.listdir(tmp_path)) == ["cache.txt"]
 
 
