@@ -2,51 +2,17 @@
 
 Verify graceful colorings of arbitrary graphs, compute graceful chromatic
 numbers by exact search, and compute them for complete graphs through the
-equivalence with minimal-span 3-AP-free integer sets.
+equivalence with minimal-span 3-AP-free integer sets.  Each layer is
+imported from its own module; the package root re-exports nothing:
+
+- gracecolor.graphs: the Graph type, generators, parse_graph,
+  serialize_graph and FormatError, the one error for malformed input;
+- gracecolor.checking: parse_coloring and verify_graceful;
+- gracecolor.solver: chi_g, chromatic_number, solve_graceful_decision,
+  characterize and graceful_lower_bound;
+- gracecolor.ap3: is_ap3_free and Ap3Engine, the 3-AP-free ladder;
+- gracecolor.complete: chi_g_complete, chi_g(K_n) from the ladder;
+- gracecolor.tables: table_report and the value cache files;
+- gracecolor.budget: SolveBudget and BudgetExhausted;
+- gracecolor.cli: the command line, also run by python -m gracecolor.
 """
-
-from .ap3 import Ap3Engine, Ap3Result, SearchStats, is_ap3_free
-from .budget import BudgetExhausted, SolveBudget
-from .checking import (
-    GracefulColoring,
-    VerificationReport,
-    Violation,
-    parse_coloring,
-    verify_graceful,
-)
-from .complete import chi_g_complete
-from .graphs import (
-    FormatError,
-    Graph,
-    GraphFamily,
-    caterpillar,
-    complete,
-    complete_bipartite,
-    cycle,
-    is_connected,
-    max_degree,
-    parse_graph,
-    path,
-    random_tree,
-    serialize_graph,
-    star,
-    wheel,
-)
-from .solver import (
-    Characterization,
-    SolveReport,
-    characterize,
-    chi_g,
-    chromatic_number,
-    graceful_lower_bound,
-    solve_graceful_decision,
-)
-from .tables import (
-    ValueCache,
-    load_cache,
-    render_table,
-    store_cache,
-    table_report,
-)
-
-__version__ = "0.1.0"

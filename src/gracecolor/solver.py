@@ -32,10 +32,10 @@ the constraints that involve x are new, and each is applied once per node:
      colored neighbor z of v, which gives vx and vz one color; a z of color
      c leaves v no color at all, so the node is pruned.  The colors of v's
      colored neighbors sit in two per-vertex masks, one per color parity,
-     set when a node's propagation succeeds and cleared when the search
-     returns to that vertex.  Only a cz of c's parity gives an integer
-     midpoint, so the rule shifts the mask of c's parity instead of
-     scanning v's neighbors.
+     which the search toggles: x's color goes in when the rules accept x =
+     c and out when the search returns to x.  Only a cz of c's parity
+     gives an integer midpoint, so the rule shifts the mask of c's parity
+     instead of scanning v's neighbors.
 Rule 2, and the color set of rule 1, come from one pass over x's colored
 neighbors; rules 1 and 3 are then applied in one pass over its uncolored
 neighbors.  Domains are only ANDed, so this order changes no child and no
@@ -68,12 +68,10 @@ class.  If the first vertex's color is above ceil(k/2), reflect, which
 reverses every class, and sort again: the first vertex then holds its
 class's least color, which is at most k + 1 minus its old color, at most
 ceil(k/2).  Both moves keep the degree-reach cut, since twins share a
-degree.  The order's cuts run after rules 1-3 and before the toggle: a
-prune after the toggle would return with x's color still in nbr, which no
-undo clears.  Adjacent twins, such as the vertices of K_n, are left
-unordered; ordering them turns K_n into a sorted-set search, which is the
-ladder kernel's job.  The chromatic kernel uses no twin order, since false
-twins may share a proper color.
+degree.  Adjacent twins, such as the vertices of K_n, are left unordered;
+ordering them turns K_n into a sorted-set search, which is the ladder
+kernel's job.  The chromatic kernel uses no twin order, since false twins
+may share a proper color.
 
 Leaves.  A leaf is a vertex of degree 1 whose neighbour p has degree 2 or
 more.  It constrains only p: its color y must differ from p's color c, and
@@ -115,10 +113,10 @@ check is made only on graphs of diameter at most 2, where all colors
 differ.  Where colors repeat, an end is seldom missing from every domain:
 on 38 random graphs of 6 to 9 vertices, diameter 3 or more and no leaf,
 the check saved 1 of 2,079 nodes, and it costs a pass over the domains at
-every node.  It runs after the twin cuts and before the toggle, for the
-reason given there.  It first sets x's own domain in the child to c, so
-every colored vertex's domain is exactly its color, and one OR over the
-child's domains gives every color held or open.
+every node.  It runs last, on the child's domains.  It first sets x's own
+domain in the child to c, so every colored vertex's domain is exactly its
+color, and one OR over the child's domains gives every color held or
+open.
 
 Chromatic rule.  c is dropped from every uncolored neighbor's domain, and
 the colors worth trying are 1..min(k, u+1), where u is the largest color on
@@ -235,11 +233,11 @@ def _twin_classes(g: Graph) -> list[tuple[int, ...]]:
 
 
 _Rule = Callable[[int, int, list[int], list[int], int], "tuple[list[int], int] | None"]
-_Undo = Callable[[int, int], None]
+_Toggle = Callable[[int, int], None]
 
 
 def _search(order: list[int], domains: list[int], propagate: _Rule,
-            meter: BudgetMeter, undo: _Undo | None = None) -> tuple[int, ...] | None:
+            meter: BudgetMeter, toggle: _Toggle | None = None) -> tuple[int, ...] | None:
     """Color every vertex as propagate allows, or prove it cannot be done.
     Returns per-vertex colors or None.
 
@@ -253,12 +251,14 @@ def _search(order: list[int], domains: list[int], propagate: _Rule,
     palette moves no exit: a nonempty degree-reach domain holds k + 1 - c
     with each c, so it meets 1..ceil(k/2).  After colors[x] = c,
     propagate(x, c, colors, domains, allowed) returns the child domains and
-    the colors worth trying next, or None to prune.  When the search comes
-    back up to x, still colored c, from the child it descended to, it calls
-    undo(x, c) if given, so a rule may keep state along the branch.  The
-    frame being searched lives in locals and a tuple is pushed only on
-    descent: reading and writing stack[-1] at every node made the graceful
-    corpus about 10 % slower.
+    the colors worth trying next, or None to prune.  If toggle is given,
+    the search calls toggle(x, c) once when propagate accepts x = c, and
+    once more when it comes back up to x, still colored c, from that child,
+    so a rule may keep state along the branch; a returned coloring leaves
+    its branch toggled in.  A pruned node is never toggled, so propagate
+    may prune anywhere.  The frame being searched lives in locals and a
+    tuple is pushed only on descent: reading and writing stack[-1] at every
+    node made the graceful corpus about 10 % slower.
     """
     if not all(domains):
         return None
@@ -274,8 +274,8 @@ def _search(order: list[int], domains: list[int], propagate: _Rule,
                 if not stack:
                     return None
                 x, todo, domains, allowed = stack.pop()
-                if undo is not None:
-                    undo(x, colors[x])
+                if toggle is not None:
+                    toggle(x, colors[x])
                 continue
             bit = todo & -todo
             todo ^= bit
@@ -287,6 +287,8 @@ def _search(order: list[int], domains: list[int], propagate: _Rule,
             child = propagate(x, c, colors, domains, allowed)
             if child is None:
                 continue
+            if toggle is not None:
+                toggle(x, c)
             # fail-first: fewest live colors, ties to the earliest in order;
             # propagate pruned every empty domain, so one color is the least.
             # No uncolored vertex is left when nxt stays -1.
@@ -329,21 +331,18 @@ def _core(g: Graph) -> _Core:
     degree = tuple(len(a) for a in adj)
     leaf = [d == 1 and degree[a[0]] > 1 for d, a in zip(degree, adj)]
     classes = _twin_classes(g)
+    kept = tuple(v for v in range(g.n) if not leaf[v])
+    index = [-1] * g.n
+    for i, v in enumerate(kept):
+        index[v] = i
     parents: dict[int, list[int]] = {}
-    if any(leaf):
-        kept = tuple(v for v in range(g.n) if not leaf[v])
-        index = [-1] * g.n
-        for i, v in enumerate(kept):
-            index[v] = i
-        for v in range(g.n):
-            if leaf[v]:
-                parents.setdefault(index[adj[v][0]], []).append(v)
-        # a twin class shares one degree and one neighbour, so it is all kept or all leaves
-        classes = [tuple(index[v] for v in cls) for cls in classes if not leaf[cls[0]]]
-        adj = tuple(tuple(index[u] for u in adj[v] if not leaf[u]) for v in kept)
-        degree = tuple(degree[v] for v in kept)
-    else:  # g is its own core, numbered as it is
-        kept = tuple(range(g.n))
+    for v in range(g.n):
+        if leaf[v]:
+            parents.setdefault(index[adj[v][0]], []).append(v)
+    # a twin class shares one degree and one neighbour, so it is all kept or all leaves
+    classes = [tuple(index[v] for v in cls) for cls in classes if not leaf[cls[0]]]
+    adj = tuple(tuple(index[u] for u in adj[v] if not leaf[u]) for v in kept)
+    degree = tuple(degree[v] for v in kept)
     mates: list[tuple[tuple[int, ...], tuple[int, ...]] | None] = [None] * len(kept)
     for cls in classes:
         for i, v in enumerate(cls):
@@ -366,8 +365,8 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
     # with c, and those midpoints are nbr[c & 1][v] shifted left by
     # (c + 1) >> 1.  No two colored neighbors of a vertex share a color on a
     # live branch, so toggling bit c >> 1 sets and clears c exactly.
-    # propagate toggles x's color in after its last prune, and _search
-    # toggles it out as its undo hook.
+    # _search toggles x's color in when propagate accepts it and out when
+    # it backs up to x.
     nbr = [0] * m, [0] * m
 
     def toggle(x, c):
@@ -404,7 +403,7 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
             if not mask:
                 return None
             nd[v] = mask
-        if mates[x] is not None:  # the twin order, before the toggle
+        if mates[x] is not None:  # the twin order
             earlier, later = mates[x]
             for vs, keep in ((earlier, bit - 1), (later, -bit << 1)):
                 for v in vs:
@@ -413,11 +412,10 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
                         if not mask:
                             return None
                         nd[v] = mask
-        if both:  # the palette ends, before the toggle
+        if both:  # the palette ends
             nd[x] = bit
             if both & ~reduce(or_, nd):
                 return None
-        toggle(x, c)
         return nd, full
 
     # the degree-reach cut: at a vertex of degree d in g, colors 1..k-d and d+1..k

@@ -410,7 +410,7 @@ def test_closed_stdout_exits_4_quietly(reader, tmp_path):
                               env=env) as proc:
             reader(proc.stdout)
             stderr = proc.stderr.read()
-            assert (proc.wait(timeout=60), stderr) == (4, "")
+            assert (argv, proc.wait(timeout=60), stderr) == (argv, 4, "")
 
 
 def test_byte_identical_output(k4_file):

@@ -544,6 +544,60 @@ def test_chromatic_search_of_an_odd_cycle_starts_at_3(monkeypatch, build, value,
     assert (report.value, searched, report.nodes) == (value, palettes, nodes)
 
 
+def _toggled_branch(log):
+    """Replay toggle calls on a branch: a call whose (x, c) is on top of the
+    branch takes it off, any other puts it on.  Returns the branch left and
+    every (x, c) put on, in order."""
+    branch, toggled_in = [], []
+    for step in log:
+        if branch and branch[-1] == step:
+            branch.pop()
+        else:
+            branch.append(step)
+            toggled_in.append(step)
+    return branch, toggled_in
+
+
+@pytest.mark.parametrize("refute", [True, False])
+def test_search_toggles_each_accepted_node_in_and_out_once(refute):
+    # a toy kernel over 4 vertices and colors 1..3 that prunes where 3
+    # divides x + c and, when refuting, every node of the last vertex
+    n, full = 4, 0b1110
+    accepted, log = [], []
+
+    def propagate(x, c, colors, domains, allowed):
+        if (x + c) % 3 == 0 or (refute and x == n - 1):
+            return None
+        accepted.append((x, c))
+        return list(domains), full
+
+    meter = BudgetMeter(None)
+    found = solver._search(list(range(n)), [full] * n, propagate, meter,
+                           lambda x, c: log.append((x, c)))
+    branch, toggled_in = _toggled_branch(log)
+    # every accepted node is toggled in once, in the order accepted, and a
+    # pruned one never
+    assert toggled_in == accepted
+    assert meter.nodes > len(accepted)
+    if refute:  # each is toggled out once, once its subtree is refuted
+        assert (found, branch, len(log)) == (None, [], 2 * len(accepted))
+    else:  # only the returned coloring's branch is left toggled in
+        assert branch == [(v, found[v]) for v in range(n)]
+
+
+def test_the_chromatic_kernel_passes_no_toggle(monkeypatch):
+    toggles = []
+    search = solver._search
+
+    def recording(order, domains, propagate, meter, toggle=None):
+        toggles.append(toggle)
+        return search(order, domains, propagate, meter, toggle)
+
+    monkeypatch.setattr(solver, "_search", recording)
+    assert chromatic_number(groetzsch()).value == 4
+    assert toggles == [None]  # the one palette searched, k = 3
+
+
 def test_chromatic_number_of_a_large_tree_takes_no_node():
     report = chromatic_number(random_tree(5000, 1))
     assert (report.status, report.value, report.nodes) == (SOLVED, 2, 0)
