@@ -141,11 +141,21 @@ def _budget(args: argparse.Namespace) -> SolveBudget:
 
 
 def _write(out: TextIO, text: str) -> None:
-    """Write text in 64 KiB pieces.  One large write whose reader closes the
-    pipe midway can be cut short without an error; a piece raises
+    """Write text in 64 KiB pieces, to out's binary layer when it has one.
+    A write whose reader closes the pipe midway returns a short count
+    instead of raising, and a text stream over an unbuffered file, as
+    stdout is under python -u or PYTHONUNBUFFERED, drops the rest without
+    an error.  Here the rest is written again, which raises
     BrokenPipeError."""
-    for start in range(0, len(text), 1 << 16):
-        out.write(text[start:start + (1 << 16)])
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        for start in range(0, len(text), 1 << 16):
+            out.write(text[start:start + (1 << 16)])
+        return
+    out.flush()
+    rest = memoryview(text.encode(out.encoding, out.errors))
+    while rest:
+        rest = rest[binary.write(rest[:1 << 16]):]
 
 
 def _csv(values: Sequence[int]) -> str:

@@ -38,8 +38,9 @@ the constraints that involve x are new, and each is applied once per node:
      instead of scanning v's neighbors.
 Rule 2, and the color set of rule 1, come from one pass over x's colored
 neighbors; rules 1 and 3 are then applied in one pass over its uncolored
-neighbors.  Domains are only ANDed, so this order changes no child and no
-prune.
+neighbors.  On graphs of diameter at most 2 with no more non-edges than
+edges both come from masks instead (see "Dense graphs").  Domains are
+only ANDed, so this order changes no child and no prune.
 These are all the ways a graceful coloring can fail around a new vertex:
 its color is proper, the edge colors at a colored neighbor differ, and the
 edge colors at the uncolored vertex differ.
@@ -117,6 +118,34 @@ every node.  It runs last, on the child's domains.  It first sets x's own
 domain in the child to c, so every colored vertex's domain is exactly its
 color, and one OR over the child's domains gives every color held or
 open.
+
+Dense graphs.  When g has diameter at most 2, the colored vertices of a
+live branch have pairwise distinct colors.  Let u and w be colored, w
+after u.  If they are adjacent, rule 1 took u's color from w's domain.
+Otherwise they share a neighbour z, which has degree 2 or more, so it is
+no leaf and is searched.  If z was colored before u, rule 2 took cu from
+w's domain when u got it; if z was colored after u and before w, rule 1
+did, as cu is on a colored neighbour of z; if z was uncolored when w got
+cu, rule 3 pruned that node, as z then had two neighbours of color cu.
+So a color names its vertex, and rule 2 needs no walk: the colored
+common neighbours of x and v are the colors both have on colored
+neighbours.  Every vertex v keeps named[v], with bit 2cu for each colored
+neighbour u, toggled beside the parity masks, and v loses c and every
+2cu - c, which is (named[x] & named[v]) >> c.  Rule 1's set comes from two
+more masks, bit cu and bit 2k - cu for each colored neighbour u: the first
+is the colors cu, and the second shifted right by 2k - 2c is the colors
+2c - cu.  The masks of v are read only while v is uncolored, and since no
+color repeats, v's mask is the mask over every colored vertex XOR the mask
+over v's colored non-neighbours.  So the masks track the non-neighbours,
+and coloring a vertex of K_n toggles no vertex's masks.  This is done when
+g also has no more non-edges than edges, as K_n and complete multipartite
+graphs have; then each vertex's list of non-neighbours takes no more room
+than its neighbours.  On a sparser graph of diameter 2, such as a wheel,
+the walk below is shorter than the passes the masks need: with masks that
+track the neighbours, wheels and random graphs of diameter 2 ran 5 to 25 %
+slower.  On diameter 3 or more a color may repeat, so a shared color no
+longer names a shared neighbour, and rule 2 walks each colored
+neighbour's adjacency.
 
 Chromatic rule.  c is dropped from every uncolored neighbor's domain, and
 the colors worth trying are 1..min(k, u+1), where u is the largest color on
@@ -324,6 +353,10 @@ class _Core:
     # mates[v] is None, or v's earlier and later class-mates (see "Twins")
     mates: tuple[tuple[tuple[int, ...], tuple[int, ...]] | None, ...]
     leaves: tuple[tuple[int, tuple[int, ...]], ...]  # (core parent, its leaves in g)
+    dense: bool  # g has diameter at most 2 (see "Dense graphs")
+    # apart[v]: the core vertices other than v not adjacent to v, when g is
+    # dense and has no more non-edges than edges (see "Dense graphs")
+    apart: tuple[tuple[int, ...], ...] | None
 
 
 def _core(g: Graph) -> _Core:
@@ -347,8 +380,13 @@ def _core(g: Graph) -> _Core:
     for cls in classes:
         for i, v in enumerate(cls):
             mates[v] = cls[:i], cls[i + 1:]
+    dense = _diameter_at_most_2(g)
+    m = len(kept)
+    apart = None
+    if dense and m * (m - 1) <= 2 * sum(map(len, adj)):
+        apart = tuple(tuple(sorted(set(range(m)).difference(a, (v,)))) for v, a in enumerate(adj))
     return _Core(g.n, kept, adj, degree, _search_order(degree), tuple(mates),
-                 tuple((p, tuple(vs)) for p, vs in parents.items()))
+                 tuple((p, tuple(vs)) for p, vs in parents.items()), dense, apart)
 
 
 def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, ...] | None:
@@ -356,53 +394,88 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
     colors of g or None.  With ends, only colorings that use colors 1 and k
     are searched, which is exact only past a refuted k - 1 and when the core
     is all of g (see "Palette ends")."""
-    adj, mates = core.adjacency, core.mates
+    adj, mates, apart = core.adjacency, core.mates, core.apart
     m = len(adj)
     full = (1 << (k + 1)) - 2  # colors 1..k
     both = 2 | 1 << k if ends else 0  # colors 1 and k
-    # nbr[p][v] holds the colors of parity p on v's colored neighbors, color
-    # c as bit c >> 1.  Only colors of c's parity have an integer midpoint
-    # with c, and those midpoints are nbr[c & 1][v] shifted left by
-    # (c + 1) >> 1.  No two colored neighbors of a vertex share a color on a
-    # live branch, so toggling bit c >> 1 sets and clears c exactly.
-    # _search toggles x's color in when propagate accepts it and out when
-    # it backs up to x.
+    # Masks of the colors on v's colored neighbors, which _search toggles:
+    # x's color goes in when propagate accepts x = c and out when it backs
+    # up to x.  No two colored neighbors of a vertex share a color on a live
+    # branch, so a toggle sets and clears a color exactly.  nbr[p][v] holds
+    # those of parity p, color c as bit c >> 1: only colors of c's parity
+    # have an integer midpoint with c, and those midpoints are nbr[c & 1][v]
+    # shifted left by (c + 1) >> 1.  With apart, named[v] also holds each
+    # as bit 2c, plain[v] as bit c and mirror[v] as bit 2k - c; all five
+    # then hold v's colored non-neighbors instead, and held holds the same
+    # masks over every colored vertex, so held XOR v's mask gives its
+    # colored neighbors (see "Dense graphs").
     nbr = [0] * m, [0] * m
+    named, plain, mirror = [0] * m, [0] * m, [0] * m
+    held = [0] * 5  # nbr[0], nbr[1], named, plain, mirror; all 0 without apart
+    top = k + k  # mirror's bit for color c is top - c
 
     def toggle(x, c):
         same, own = nbr[c & 1], 1 << (c >> 1)
         for v in adj[x]:
             same[v] ^= own
 
+    def toggle_apart(x, c):
+        same, own, bit = nbr[c & 1], 1 << (c >> 1), 1 << c
+        name, image = 1 << (c + c), 1 << (top - c)
+        held[c & 1] ^= own
+        held[2] ^= name
+        held[3] ^= bit
+        held[4] ^= image
+        for v in apart[x]:
+            same[v] ^= own
+            named[v] ^= name
+            plain[v] ^= bit
+            mirror[v] ^= image
+
     def propagate(x, c, colors, domains, allowed):
         bit = 1 << c
         near = bit
         nd = list(domains)
-        for u in adj[x]:  # rule 2 here, and rule 1's set, in one pass
-            cu = colors[u]
-            if not cu:
-                continue
-            near |= 1 << cu
-            if cu < c + c:
-                near |= 1 << (c + c - cu)
-            far = ~(bit | 1 << (cu + cu - c)) if cu + cu > c else ~bit
-            for v in adj[u]:
-                if not colors[v]:
-                    mask = nd[v] & far
-                    if not mask:
-                        return None
-                    nd[v] = mask
+        base, names = held[c & 1], held[2]
+        common = names ^ named[x]  # x's colored neighbors by name; 0 without apart
+        if apart is not None:  # rule 1's set: every cu, and every 2c - cu from top - cu
+            near |= held[3] ^ plain[x] | (held[4] ^ mirror[x]) >> (top - c - c)
+        else:
+            for u in adj[x]:  # rule 2 here, and rule 1's set, in one pass
+                cu = colors[u]
+                if not cu:
+                    continue
+                near |= 1 << cu
+                if cu < c + c:
+                    near |= 1 << (c + c - cu)
+                far = ~(bit | 1 << (cu + cu - c)) if cu + cu > c else ~bit
+                for v in adj[u]:
+                    if not colors[v]:
+                        mask = nd[v] & far
+                        if not mask:
+                            return None
+                        nd[v] = mask
         same, own, left = nbr[c & 1], 1 << (c >> 1), (c + 1) >> 1
-        for v in adj[x]:  # rules 1 and 3
+        for v in adj[x]:  # rules 1 and 3, and with apart rule 2
             if colors[v]:
                 continue
-            nb = same[v]
+            nb = base ^ same[v]
             if nb & own:
                 return None  # every color clashes between x and a neighbor of v
-            mask = nd[v] & ~(near | nb << left)
+            mask = nd[v] & ~(near | nb << left | ((names ^ named[v]) & common) >> c)
             if not mask:
                 return None
             nd[v] = mask
+        if common:  # rule 2 at the vertices apart from x
+            for v in apart[x]:
+                if colors[v]:
+                    continue
+                shared = (names ^ named[v]) & common
+                if shared:
+                    mask = nd[v] & ~(bit | shared >> c)
+                    if not mask:
+                        return None
+                    nd[v] = mask
         if mates[x] is not None:  # the twin order
             earlier, later = mates[x]
             for vs, keep in ((earlier, bit - 1), (later, -bit << 1)):
@@ -421,7 +494,8 @@ def _decide(core: _Core, k: int, meter: BudgetMeter, ends: bool) -> tuple[int, .
     # the degree-reach cut: at a vertex of degree d in g, colors 1..k-d and d+1..k
     start = [full & ((1 << max(k - d, 0) + 1) - 2 | -2 << d) for d in core.degree]
     start[core.order[0]] &= (1 << ((k + 1) // 2 + 1)) - 2  # colors 1..ceil(k/2)
-    found = _search(core.order, start, propagate, meter, toggle)
+    found = _search(core.order, start, propagate, meter,
+                    toggle if apart is None else toggle_apart)
     if found is None:
         return None
     colors = [0] * core.n
@@ -468,11 +542,10 @@ def _chi_g(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
     if g.n < 2:
         raise ValueError("graph needs at least two vertices")
     _require_connected(g)
-    dense = _diameter_at_most_2(g)
-    k = _lower_bound(g, dense)  # >= 2, as g has an edge
     core = _core(g)
+    k = _lower_bound(g, core.dense)  # >= 2, as g has an edge
     # every k-1 below is refuted; a leaf may hold an end (see "Palette ends")
-    ends = dense and not core.leaves
+    ends = core.dense and not core.leaves
     while (witness := _decide(core, k, meter, ends)) is None:
         k += 1
     return k, witness

@@ -413,6 +413,32 @@ def test_closed_stdout_exits_4_quietly(reader, tmp_path):
             assert (argv, proc.wait(timeout=60), stderr) == (argv, 4, "")
 
 
+class _PipeClosedMidway(io.RawIOBase):
+    """A raw stdout whose reader leaves during the first write: that write
+    takes part of its bytes, and every later one raises BrokenPipeError."""
+
+    def __init__(self):
+        self.taken = b""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.taken:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.taken = bytes(data[:100])
+        return len(self.taken)
+
+
+def test_a_short_write_to_an_unbuffered_stdout_exits_4():
+    # under python -u or PYTHONUNBUFFERED, stdout's text layer writes
+    # straight to the file and drops what a short write left over
+    raw = _PipeClosedMidway()
+    out, err = io.TextIOWrapper(raw, write_through=True), io.StringIO()
+    assert (run(["gen", "path", "30"], out, err), err.getvalue()) == (4, "")
+    assert raw.taken == invoke("gen", "path", "30")[1][:100].encode()
+
+
 def test_byte_identical_output(k4_file):
     first = invoke("solve", k4_file)
     second = invoke("solve", k4_file)

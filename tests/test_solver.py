@@ -147,7 +147,9 @@ def test_decision_refutes_exactly_below_chi_g():
 
 def _seeded_draw() -> list[Graph]:
     """Graphs with twins, graphs with pendant vertices and complete
-    multipartite graphs, the last of diameter 2."""
+    multipartite graphs, the last of diameter 2; and on both sides of the
+    kernel's dense test, graphs of diameter 2 with more non-edges than edges,
+    with and without leaves, and graphs of diameter exactly 3."""
     rng = random.Random(8808)
     graphs = []
     for _ in range(36):
@@ -165,7 +167,26 @@ def _seeded_draw() -> list[Graph]:
         n = rng.randint(4, 7)
         g = random_connected_graph(rng, n, density=rng.choice((0.2, 0.5)))
         graphs.append(with_leaves(g, rng, rng.randint(1, 3)))
+    for n in (6, 8):  # a wheel, and the wheel with a pendant vertex at its hub
+        rim = wheel(n)
+        graphs += [rim, Graph.from_edges(n + 1, [*rim.edges, (0, n)])]
+    graphs += [petersen(), complete_multipartite(2, 2, 3), complete_multipartite(1, 3, 3)]
+    graphs += [cycle(6), cycle(7), grid(2, 3)]  # diameter 3
     return graphs
+
+
+def _has_leaf(g: Graph) -> bool:
+    return any(len(a) == 1 and len(g.adjacency[a[0]]) > 1 for a in g.adjacency)
+
+
+def test_seeded_draw_covers_both_sides_of_the_dense_test():
+    # the kernel takes rule 2 from masks on diameter 2 where there are no
+    # more non-edges than edges, and walks elsewhere
+    kinds = {(diameter(g) <= 2, _has_leaf(g), 4 * len(g.edges) >= g.n * (g.n - 1))
+             for g in _seeded_draw()}
+    assert kinds >= {(True, False, True), (True, True, True), (True, False, False),
+                     (True, True, False), (False, False, False), (False, True, False)}
+    assert sum(diameter(g) == 3 and not _has_leaf(g) for g in _seeded_draw()) >= 3
 
 
 def test_decision_matches_reference_search():
@@ -195,8 +216,7 @@ def test_chi_g_matches_reference_deepening():
     kernel that needs more runs out of budget instead of deepening without
     end."""
     for g in _seeded_draw():
-        leaf = any(len(a) == 1 and len(g.adjacency[a[0]]) > 1 for a in g.adjacency)
-        ends = diameter(g) <= 2 and not leaf
+        ends = diameter(g) <= 2 and not _has_leaf(g)
         k, total = max(2, graceful_lower_bound(g)), 0
         while True:
             colors, nodes = reference_graceful_search(g, k, ends=ends)
@@ -289,14 +309,16 @@ def test_chromatic_tree_solved_within_node_cap():
     pytest.param(lambda: complete(7), 13, 19885, id="K7"),
     pytest.param(lambda: complete(8), 14, 57822, id="K8"),
     pytest.param(lambda: complete_multipartite(2, 2, 2, 2, 2), 16, 134239, id="K2,2,2,2,2"),
+    pytest.param(lambda: complete_multipartite(3, 3, 3, 3), 17, 141322, id="K3,3,3,3"),
     pytest.param(lambda: random_connected_graph(random.Random(5), 10, density=0.6), 11, 805,
                  id="gnp10p6s5"),
 ])
 def test_chi_g_nodes_are_pinned(build, value, nodes):
     # node counts of the graceful kernel; a change to its order, propagation
     # or symmetry break that moves them must update these pins.  A change
-    # that only makes a node cheaper keeps them.
-    report = chi_g(build())
+    # that only makes a node cheaper keeps them.  The cap is the pin, so a
+    # kernel that needs more nodes runs out instead of searching on.
+    report = chi_g(build(), SolveBudget(max_nodes=nodes))
     assert (report.status, report.value, report.nodes) == (SOLVED, value, nodes)
 
 
@@ -335,6 +357,18 @@ def test_chi_g_checks_connectivity_once(monkeypatch, compute, checks):
     monkeypatch.setattr(solver, "is_connected", lambda g: calls.append(g) or real(g))
     compute(cycle(5))
     assert len(calls) == checks
+
+
+@pytest.mark.parametrize("g,listed", [
+    (complete(6), [0] * 6),
+    (complete_multipartite(3, 3, 3), [2] * 9),
+    (wheel(50), None),  # diameter 2, with 98 edges and 1,127 non-edges
+    (path(5), None),  # diameter 4
+], ids=["K6", "K3,3,3", "W50", "P5"])
+def test_a_core_lists_non_neighbours_only_where_they_are_no_more_than_the_edges(g, listed):
+    # so the lists never take more room than the adjacency does
+    apart = solver._core(g).apart
+    assert (apart if apart is None else [len(a) for a in apart]) == listed
 
 
 def test_diameter_check_matches_diameter():
