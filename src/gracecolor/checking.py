@@ -81,11 +81,16 @@ def verify_graceful(g: Graph, coloring: GracefulColoring) -> VerificationReport:
     """Check the three graceful conditions, reporting the first violation.
 
     Scan order is fixed so failures are reproducible: color range by vertex,
-    then equal endpoints by edge, then incident-difference clashes by vertex
-    and ascending neighbor pair.  An edge with equal endpoint colors is
-    always reported as adjacent-equal, never as a zero edge color.  A
-    coloring whose length differs from the vertex count raises
-    FormatError: the two documents disagree.
+    then equal endpoints by edge, then incident-difference clashes by
+    vertex.  At the first vertex u with a clash the report is (u, w, v): w
+    is the least neighbour whose edge color a later neighbour repeats, and v
+    is the least such later neighbour, so (w, v) is the first clashing
+    neighbour pair in lexicographic order.  Each neighbourhood is read once,
+    through a map from edge color to the first neighbour that gives it, so
+    the check is linear in the size of the graph.  An edge with equal
+    endpoint colors is always reported as adjacent-equal, never as a zero
+    edge color.  A coloring whose length differs from the vertex count
+    raises FormatError: the two documents disagree.
     """
     colors = coloring.colors
     if len(colors) != g.n:
@@ -98,13 +103,11 @@ def verify_graceful(g: Graph, coloring: GracefulColoring) -> VerificationReport:
         if colors[u] == colors[v]:
             return VerificationReport(False, Violation(ADJACENT_EQUAL, (u, v)))
     for u in range(g.n):
-        neighbors = g.adjacency[u]
-        for i in range(len(neighbors)):
-            di = abs(colors[u] - colors[neighbors[i]])
-            for j in range(i + 1, len(neighbors)):
-                if di == abs(colors[u] - colors[neighbors[j]]):
-                    violation = Violation(
-                        DUPLICATE_INCIDENT_DIFFERENCE, (u, neighbors[i], neighbors[j])
-                    )
-                    return VerificationReport(False, violation)
+        first: dict[int, int] = {}  # edge color -> the first neighbour that gives it
+        clashes = []
+        for v in g.adjacency[u]:
+            if (w := first.setdefault(abs(colors[u] - colors[v]), v)) != v:
+                clashes.append((u, w, v))
+        if clashes:
+            return VerificationReport(False, Violation(DUPLICATE_INCIDENT_DIFFERENCE, min(clashes)))
     return VerificationReport(True)

@@ -17,9 +17,11 @@ mismatch; 2 usage error; 3 budget exhausted; 4 I/O, parse or cache error,
 or stdout closed by its reader.
 Results go to stdout, diagnostics to stderr.  Identical invocations with the
 same cache state produce byte-identical output (timings are never printed).
-Every subcommand's stdout is written once, in 64 KiB pieces, after its
-handler returns, so a reader that closes stdout early always gets exit 4
-and nothing on stderr.  A ladder command stores its cache before anything
+Every subcommand's stdout is written once, after its handler returns, so
+a reader that closes stdout early always gets exit 4 and nothing on
+stderr.  A stream with a binary layer, as sys.stdout has, gets the text in
+64 KiB pieces, so that a short write is sent again; one without gets it in
+one write.  A ladder command stores its cache before anything
 is printed.
 """
 
@@ -141,16 +143,16 @@ def _budget(args: argparse.Namespace) -> SolveBudget:
 
 
 def _write(out: TextIO, text: str) -> None:
-    """Write text in 64 KiB pieces, to out's binary layer when it has one.
-    A write whose reader closes the pipe midway returns a short count
-    instead of raising, and a text stream over an unbuffered file, as
-    stdout is under python -u or PYTHONUNBUFFERED, drops the rest without
-    an error.  Here the rest is written again, which raises
+    """Write text to out's binary layer in 64 KiB pieces, or to out in one
+    write when it has no binary layer, as io.StringIO has none.  A write
+    whose reader closes the pipe midway returns a short count instead of
+    raising, and a text stream over an unbuffered file, as stdout is under
+    python -u or PYTHONUNBUFFERED, drops the rest without an error.  Here
+    the rest is written again, piece by piece, which raises
     BrokenPipeError."""
     binary = getattr(out, "buffer", None)
     if binary is None:
-        for start in range(0, len(text), 1 << 16):
-            out.write(text[start:start + (1 << 16)])
+        out.write(text)
         return
     out.flush()
     rest = memoryview(text.encode(out.encoding, out.errors))

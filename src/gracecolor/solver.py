@@ -179,7 +179,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .budget import BudgetExhausted, BudgetMeter, SolveBudget
 from .checking import GracefulColoring
@@ -239,11 +239,19 @@ def _lower_bound(g: Graph, dense: bool) -> int:
 
 
 def _diameter_at_most_2(g: Graph) -> bool:
-    """Whether diameter(g) <= 2, stopping at the first vertex whose radius-2
-    ball misses a vertex."""
+    """Whether diameter(g) <= 2: whether every vertex's radius-2 ball is all
+    of g.
+
+    A vertex of degree n - 1 joins every pair within two steps, which
+    settles the single vertex, stars, wheels and K_n at once.  Otherwise
+    n >= 2, and the ball of a vertex v is N(v) | N(N(v)): v lies in N(u)
+    for each neighbour u, and an isolated v, whose union is empty, fails as
+    it should.  So the ball depends on N(v) alone, and each distinct
+    neighbour tuple is tested once, stopping at the first ball that misses
+    a vertex."""
     adj = g.adjacency
-    return all(len({v, *adj[v]}.union(*(adj[u] for u in adj[v]))) == g.n
-               for v in range(g.n))
+    return any(len(nb) == g.n - 1 for nb in adj) or all(
+        len(set(nb).union(*(adj[u] for u in nb))) == g.n for nb in set(adj))
 
 
 def _search_order(degree: Sequence[int]) -> list[int]:
@@ -587,12 +595,13 @@ def _two_coloring(g: Graph, first: int) -> tuple[int, ...] | None:
     return tuple(colors)
 
 
-def _greedy_clique(g: Graph, order: list[int]) -> list[int]:
-    clique: list[int] = []
+def _greedy_clique(g: Graph, order: list[int]) -> Iterator[int]:
+    """Each vertex in order that is adjacent to every one yielded before it."""
+    common = set(order)  # the vertices adjacent to every one yielded so far
     for v in order:
-        if all(u in g.adjacency[v] for u in clique):
-            clique.append(v)
-    return clique
+        if v in common:
+            yield v
+            common.intersection_update(g.adjacency[v])
 
 
 def _greedy_coloring(g: Graph, order: list[int]) -> tuple[int, ...]:
@@ -636,7 +645,7 @@ def _chromatic(g: Graph, meter: BudgetMeter) -> tuple[int, tuple[int, ...]]:
     two = _two_coloring(g, order[0])
     if two is not None:
         return max(two), two
-    lower = max(3, len(_greedy_clique(g, order)))  # an odd cycle needs 3 colors
+    lower = max(3, len(list(_greedy_clique(g, order))))  # an odd cycle needs 3 colors
     greedy = _greedy_coloring(g, order)
     upper = max(greedy)
     for k in range(lower, upper):

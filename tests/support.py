@@ -13,7 +13,13 @@ import math
 import random
 
 from gracecolor.ap3 import is_ap3_free
-from gracecolor.checking import GracefulColoring, verify_graceful
+from gracecolor.checking import (
+    ADJACENT_EQUAL,
+    COLOR_OUT_OF_RANGE,
+    DUPLICATE_INCIDENT_DIFFERENCE,
+    GracefulColoring,
+    verify_graceful,
+)
 from gracecolor.graphs import Graph, complete, is_connected
 
 # Published largest-subset size of [1..122], for the stretch check of L(122).
@@ -131,6 +137,36 @@ def graceful_valid_oracle(g: Graph, colors, palette: int) -> bool:
     if any(not (1 <= c <= palette) for c in colors):
         return False
     return _graceful_on(g.edges, colors)
+
+
+def first_violation(g: Graph, colors, palette: int) -> tuple[str, tuple[int, ...]] | None:
+    """The kind and vertices of the violation verify_graceful reports, or
+    None, from its docstring's scan order with plain pair loops: a color
+    outside [1, palette] by vertex, then equal endpoint colors by edge, then
+    equal edge colors at a vertex, by vertex and then by neighbour pair in
+    lexicographic order."""
+    for v in range(g.n):
+        if not 1 <= colors[v] <= palette:
+            return COLOR_OUT_OF_RANGE, (v,)
+    for u, v in g.edges:
+        if colors[u] == colors[v]:
+            return ADJACENT_EQUAL, (u, v)
+    for u in range(g.n):
+        for i, j in itertools.combinations(g.adjacency[u], 2):
+            if abs(colors[u] - colors[i]) == abs(colors[u] - colors[j]):
+                return DUPLICATE_INCIDENT_DIFFERENCE, (u, i, j)
+    return None
+
+
+def pairwise_greedy_clique(g: Graph, order) -> list[int]:
+    """Each vertex in order that is adjacent to every one taken before it,
+    each membership asked of the edge set."""
+    edges = set(g.edges)
+    clique: list[int] = []
+    for v in order:
+        if all((min(u, v), max(u, v)) in edges for u in clique):
+            clique.append(v)
+    return clique
 
 
 def _graceful_on(edges, colors) -> bool:

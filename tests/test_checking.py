@@ -11,10 +11,11 @@ from gracecolor.checking import (
     DUPLICATE_INCIDENT_DIFFERENCE,
     FormatError,
     GracefulColoring,
+    Violation,
     parse_coloring,
     verify_graceful,
 )
-from gracecolor.graphs import complete, cycle, path
+from gracecolor.graphs import complete, cycle, path, star
 from support import all_graphs, graceful_valid_oracle, random_connected_graph
 
 
@@ -63,6 +64,13 @@ def test_verify_first_violation_is_deterministic():
     bad = coloring(1, 2, 1, 2)
     reports = {verify_graceful(g, bad).violation for _ in range(5)}
     assert len(reports) == 1
+
+
+def test_verify_reports_the_first_clashing_pair_in_lexicographic_order():
+    # the edge colors at hub 0 run 1, 2, 2, 1 over its neighbours 1 < 2 < 3 < 4:
+    # pair (1, 4) clashes before pair (2, 3), though 3 is the first repeat met
+    report = verify_graceful(star(5), coloring(5, 4, 3, 7, 6))
+    assert report.violation == Violation(DUPLICATE_INCIDENT_DIFFERENCE, (0, 1, 4))
 
 
 def test_coloring_type_invariants():

@@ -1,5 +1,6 @@
 """The verifier against the definition on random graphs of up to 12
-vertices, disconnected ones and isolated vertices included.
+vertices, disconnected ones and isolated vertices included, and its report
+against the violation that its scan order names first.
 
 A coloring that gives distinct vertices distinct colors from a
 progression-free set is graceful: two edges at v of one color would need
@@ -19,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from gracecolor.checking import GracefulColoring, verify_graceful  # noqa: E402
 from gracecolor.graphs import Graph  # noqa: E402
-from support import graceful_valid_oracle  # noqa: E402
+from support import first_violation, graceful_valid_oracle  # noqa: E402
 
 MAX_N = 12
 # one more than each integer whose base-3 digits are all 0 or 1: 3-AP-free
@@ -75,7 +76,10 @@ def test_verifier_matches_the_definition_on_graphs_up_to_12_vertices(data):
     colors, kind = data.draw(_coloring(g))
     top = max(colors)
     palette = max(2, top + data.draw(st.sampled_from([0, 1, 3, -1, -2])))
-    valid = verify_graceful(g, GracefulColoring(tuple(colors), palette)).valid
-    assert valid == graceful_valid_oracle(g, colors, palette)
+    report = verify_graceful(g, GracefulColoring(tuple(colors), palette))
+    assert report.valid == graceful_valid_oracle(g, colors, palette)
+    violation = report.violation
+    assert (violation and (violation.kind, violation.vertices)) == \
+        first_violation(g, colors, palette)
     if kind == "none" and palette >= top:
-        assert valid
+        assert report.valid

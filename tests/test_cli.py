@@ -439,6 +439,25 @@ def test_a_short_write_to_an_unbuffered_stdout_exits_4():
     assert raw.taken == invoke("gen", "path", "30")[1][:100].encode()
 
 
+class _CountedWrites(io.StringIO):
+    """A text stream with no binary layer that counts the writes it takes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_stream_without_a_binary_layer_takes_stdout_in_one_write():
+    # only a binary layer's short write needs the 64 KiB pieces
+    out = _CountedWrites()
+    assert run(["gen", "star", "20000"], out, io.StringIO()) == 0
+    assert (out.writes, len(out.getvalue()) > 1 << 16) == (1, True)
+
+
 def test_byte_identical_output(k4_file):
     first = invoke("solve", k4_file)
     second = invoke("solve", k4_file)

@@ -47,6 +47,7 @@ from support import (
     grid,
     groetzsch,
     hypercube,
+    pairwise_greedy_clique,
     petersen,
     random_connected_graph,
     reference_graceful_search,
@@ -371,10 +372,35 @@ def test_a_core_lists_non_neighbours_only_where_they_are_no_more_than_the_edges(
     assert (apart if apart is None else [len(a) for a in apart]) == listed
 
 
-def test_diameter_check_matches_diameter():
+def _neighbourhood_cases():
+    """Every graph on up to 5 vertices, the single vertex and disconnected
+    graphs among them, then multipartite graphs, stars, wheels and random
+    connected graphs of up to 30 vertices, each also with leaves."""
     for n in range(1, 6):
-        for g in all_graphs(n):
-            assert _diameter_at_most_2(g) == (diameter(g) <= 2), g.edges
+        yield from all_graphs(n)
+    rng = random.Random(2024)
+    named = [complete_multipartite(*parts)
+             for parts in ((1, 1), (2, 3), (1, 4, 4), (3, 3, 3), (5, 6, 7, 8), (1, 26))]
+    named += [star(n) for n in (1, 2, 3, 10, 27)] + [wheel(n) for n in (4, 5, 12, 27)]
+    densities = (0.1, 0.3, 0.5, 0.7, 0.9)
+    named += [random_connected_graph(rng, rng.randint(6, 27), rng.choice(densities))
+              for _ in range(40)]
+    for g in named:
+        yield g
+        yield with_leaves(g, rng, rng.randint(1, 3))
+
+
+def test_diameter_check_matches_diameter():
+    for g in _neighbourhood_cases():
+        assert _diameter_at_most_2(g) == (diameter(g) <= 2), g.edges
+
+
+def test_greedy_clique_matches_a_pairwise_scan():
+    rng = random.Random(99)
+    for g in _neighbourhood_cases():
+        by_degree = solver._search_order([len(a) for a in g.adjacency])
+        for order in (by_degree, rng.sample(range(g.n), g.n)):
+            assert list(solver._greedy_clique(g, order)) == pairwise_greedy_clique(g, order)
 
 
 def test_diameter_check_boundary_cases():
